@@ -57,7 +57,7 @@ class EnsembleStats:
 
 def _activation(name: str):
     if name == "linear":
-        return (lambda z: z), (lambda z: np.ones_like(z))
+        return (lambda z: z), (lambda z: 1.0)
     if name == "erf":
         return _erf, (lambda z: (2.0 / math.sqrt(math.pi)) * np.exp(-(z**2)))
     if name == "relu":
@@ -84,13 +84,28 @@ def langevin_train(
     theta <- theta - eta * grad U + sqrt(2 (T/chi) eta) xi, with
     U = (1/2) sum (f - y)^2 + (T/(2 chi)) |theta|^2; each listed seed
     runs an independent chain initialised from the prior.
+
+    Inputs are laid out once as patch columns, an (S, N_w * n) matrix
+    whose column i * n + m is patch i of input m, so that every
+    contraction of a step is a matrix product batched over the chain
+    axis (never one product across chains, so a chain's numbers do not
+    depend on its place in ``cfg.seeds``).  Chain k draws from its own
+    Philox stream keyed [seeds[k], 0]: input weights (C, S), then readout
+    (N_w, C), then per step C * S + N_w * C normals, input-weight noise
+    first.
+
+    ``equilibrated`` compares each chain's second-half mean with its
+    first-half mean: the drift averaged over chains must lie within three
+    between-chain standard errors (root mean square over test points).
+    The chains are independent, so their spread measures that error
+    whatever the autocorrelation within a chain; with a single chain
+    there is no spread to compare against and the flag is false.
     """
     if spec.depth != 2:
         raise ValueError("Langevin oracle implemented for depth-2 networks")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     X_test = np.asarray(X_test, dtype=float)
-    P, d = X.shape
     Nw, S, C = spec.patch_count, spec.patch_size, spec.channels
     sigma, dsigma = _activation(spec.activation)
     c_in = math.sqrt(spec.weight_var / spec._input_divisor)
@@ -99,8 +114,11 @@ def langevin_train(
     eta = cfg.step_size
     noise_sd = math.sqrt(2.0 * T_eff * eta)
 
-    Xp = X.reshape(P, Nw, S)
-    Xp_test = X_test.reshape(X_test.shape[0], Nw, S)
+    def columns(Z):
+        return Z.reshape(Z.shape[0], Nw, S).transpose(2, 1, 0).reshape(S, Nw * Z.shape[0])
+
+    Xc, Xc_test = columns(X), columns(X_test)
+    XcT = np.ascontiguousarray(Xc.T)
     n_seeds = len(cfg.seeds)
 
     rngs = [
@@ -108,11 +126,17 @@ def langevin_train(
         for s in cfg.seeds
     ]
     W = np.stack([r.standard_normal((C, S)) for r in rngs])  # (k, C, S)
-    a = np.stack([r.standard_normal((Nw, C)) for r in rngs])  # (k, Nw, C)
+    # readout held channel-major, (k, C, N_w), to match the rows of act below
+    a = np.stack([r.standard_normal((Nw, C)).T for r in rngs])
+    # one row of normals per chain per step; noise_W and noise_a are views of it
+    noise = np.empty((n_seeds, C * S + Nw * C))
+    noise_W = noise[:, : C * S].reshape(n_seeds, C, S)
+    noise_a = noise[:, C * S :].reshape(n_seeds, Nw, C).transpose(0, 2, 1)
 
-    def forward(Wk, ak, Xpat):
-        u = c_in * np.einsum("kcs,nis->kcin", Wk, Xpat)
-        return c_out * np.einsum("kic,kcin->kn", ak, sigma(u)), u
+    def forward(Xcols):
+        u = c_in * (W @ Xcols)  # (k, C, N_w * n)
+        act = sigma(u).reshape(n_seeds, C * Nw, -1)  # row c * N_w + i
+        return u, act, c_out * (a.reshape(n_seeds, 1, C * Nw) @ act)[:, 0]
 
     n_rec = (cfg.steps - cfg.burn_in + cfg.thin - 1) // cfg.thin
     sum_f = np.zeros((n_seeds, X_test.shape[0]))
@@ -122,35 +146,35 @@ def langevin_train(
     losses = np.zeros((n_seeds, n_rec))
     recorded = 0
 
-    f0, _ = forward(W, a, Xp)
-    loss0 = float(np.mean(np.sum((f0 - y) ** 2, axis=1)))
+    loss0 = float(np.mean(np.sum((forward(Xc)[2] - y) ** 2, axis=1)))
 
     for step in range(cfg.steps):
-        u = c_in * np.einsum("kcs,nis->kcin", W, Xp)
-        act = sigma(u)
-        f = c_out * np.einsum("kic,kcin->kn", a, act)
+        u, act, f = forward(Xc)
         r = f - y[None, :]
         # gradients of the unnormalised MSE
-        grad_a = c_out * np.einsum("kn,kcin->kic", r, act)
-        ra = np.einsum("kn,kic->kcin", r, a) * dsigma(u)
-        grad_W = c_out * c_in * np.einsum("kcin,nis->kcs", ra, Xp)
-        for k, rng in enumerate(rngs):
-            W[k] += -eta * (grad_W[k] + T_eff * W[k]) + noise_sd * rng.standard_normal((C, S))
-            a[k] += -eta * (grad_a[k] + T_eff * a[k]) + noise_sd * rng.standard_normal((Nw, C))
-        loss_now = float(np.mean(np.sum(r**2, axis=1)))
+        grad_a = c_out * (act @ r[:, :, None]).reshape(n_seeds, C, Nw)
+        ra = (a.reshape(n_seeds, C * Nw, 1) * r[:, None, :]).reshape(n_seeds, C, -1)
+        ra *= dsigma(u)
+        grad_W = c_out * c_in * (ra @ XcT)
+        for rng, z in zip(rngs, noise):
+            rng.standard_normal(out=z)
+        W += -eta * (grad_W + T_eff * W) + noise_sd * noise_W
+        a += -eta * (grad_a + T_eff * a) + noise_sd * noise_a
+        sq_err = np.sum(r**2, axis=1)
+        loss_now = float(np.mean(sq_err))
         if not np.isfinite(loss_now) or loss_now > 1e6 * max(loss0, 1.0):
             raise RuntimeError(
                 f"Langevin divergence at step {step}: loss {loss_now:.3e} "
                 f"(initial {loss0:.3e}); reduce the step size"
             )
         if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
-            ftest, _ = forward(W, a, Xp_test)
+            ftest = forward(Xc_test)[2]
             sum_f += ftest
             sum_f2 += ftest**2
             half = 0 if recorded < n_rec // 2 else 1
             half_marker[half] += ftest
             half_counts[half] += 1
-            losses[:, recorded] = np.sum(r**2, axis=1)
+            losses[:, recorded] = sq_err
             recorded += 1
 
     per_seed_means = sum_f / recorded
@@ -162,13 +186,18 @@ def langevin_train(
 
     halves = half_marker / np.maximum(half_counts, 1)[:, None, None]
     gap = float(np.max(np.abs(halves[0].mean(axis=0) - halves[1].mean(axis=0))))
-    sd = float(np.sqrt(np.mean(variance) / max(n_seeds * recorded / 2, 1)))
+    equilibrated = False
+    if n_seeds > 1 and half_counts.min() > 0:
+        drift = (halves[1] - halves[0])[order]  # (k, n_test)
+        rms_drift = np.sqrt(np.mean(drift.mean(axis=0) ** 2))
+        rms_se = np.sqrt(np.mean(drift.var(axis=0, ddof=1) / n_seeds))
+        equilibrated = bool(rms_drift <= 3.0 * rms_se)
     return EnsembleStats(
         mean=mean,
         variance=variance,
         per_seed_means=per_seed_means,
         loss_trace=losses[:, :recorded],
-        equilibrated=gap <= max(3.0 * sd, 1e-12) or cfg.temperature == 0,
+        equilibrated=equilibrated,
         split_half_gap=gap,
     )
 

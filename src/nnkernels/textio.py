@@ -29,6 +29,11 @@ def atomic_write_text(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
+            # mkstemp creates the file 0600 and os.replace keeps that mode;
+            # give it the mode a plain open() would have
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -130,6 +130,15 @@ class TestOutputs:
         assert manifest["command"] == "curve"
         assert manifest["seed"] == "9"
 
+    def test_output_modes_follow_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            _, out = run_cli(tmp_path, "curve", "--override", "sweep.p_count=5")
+        finally:
+            os.umask(old)
+        for name in ("results.csv", "summary.kv", "manifest.kv"):
+            assert os.stat(out / name).st_mode & 0o777 == 0o644, name
+
 
 class TestCompare:
     def test_theory_vs_mc_passes(self, tmp_path):

@@ -1,8 +1,56 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from nnkernels import curves, empirical, gpr, kernels
 from nnkernels.empirical import TrainingConfig
+
+ACTIVATIONS = {
+    "linear": (lambda z: z, lambda z: np.ones_like(z)),
+    "erf": (erf, lambda z: (2.0 / math.sqrt(math.pi)) * np.exp(-(z**2))),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
+}
+
+
+def einsum_reference(spec, X, y, X_test, cfg):
+    """Per-seed test means and loss traces from plain einsum steps, one chain at a time.
+
+    Each chain's Philox stream gives the input weights (C, S), the readout
+    (N_w, C), then per step the input-weight noise (C, S) and the readout
+    noise (N_w, C).
+    """
+    sigma, dsigma = ACTIVATIONS[spec.activation]
+    Nw, S, C = spec.patch_count, spec.patch_size, spec.channels
+    c_in = math.sqrt(spec.weight_var / spec._input_divisor)
+    c_out = math.sqrt(spec.readout_var / (spec.chi * Nw * C))
+    T_eff = cfg.temperature / spec.chi
+    eta = cfg.step_size
+    noise_sd = math.sqrt(2.0 * T_eff * eta)
+    Xp = X.reshape(len(X), Nw, S)
+    Xp_test = X_test.reshape(len(X_test), Nw, S)
+    means, traces = [], []
+    for seed in cfg.seeds:
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        W = rng.standard_normal((C, S))
+        a = rng.standard_normal((Nw, C))
+        f_sum, trace = 0.0, []
+        for step in range(cfg.steps):
+            u = c_in * np.einsum("cs,nis->cin", W, Xp)
+            r = c_out * np.einsum("ic,cin->n", a, sigma(u)) - y
+            grad_a = c_out * np.einsum("n,cin->ic", r, sigma(u))
+            ra = np.einsum("n,ic->cin", r, a) * dsigma(u)
+            grad_W = c_out * c_in * np.einsum("cin,nis->cs", ra, Xp)
+            W = W - eta * (grad_W + T_eff * W) + noise_sd * rng.standard_normal((C, S))
+            a = a - eta * (grad_a + T_eff * a) + noise_sd * rng.standard_normal((Nw, C))
+            if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
+                u_test = c_in * np.einsum("cs,nis->cin", W, Xp_test)
+                f_sum = f_sum + c_out * np.einsum("ic,cin->n", a, sigma(u_test))
+                trace.append(r @ r)
+        means.append(f_sum / len(trace))
+        traces.append(trace)
+    return np.array(means), np.array(traces)
 
 
 class TestSynthetic:
@@ -156,6 +204,51 @@ class TestLangevin:
         assert rel < 0.25
         # split-half drift small on the scale of the predictor
         assert stats.split_half_gap < 0.2 * np.max(np.abs(post.mean))
+
+    @pytest.mark.parametrize("activation", ["linear", "erf", "relu"])
+    @pytest.mark.parametrize("patch_count", [1, 3])
+    @pytest.mark.parametrize("temperature", [0.0, 0.05])
+    def test_matches_einsum_reference(self, activation, patch_count, temperature):
+        d = 6
+        spec = kernels.NetworkSpec(
+            depth=2, input_dim=d, patch_count=patch_count, activation=activation, channels=8
+        )
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((7, d))
+        y = X @ rng.standard_normal(d) / np.sqrt(d)
+        X_test = rng.standard_normal((3, d))
+        cfg = TrainingConfig(
+            step_size=empirical.suggest_step_size(spec, X, safety=0.3),
+            temperature=temperature,
+            steps=40,
+            burn_in=10,
+            thin=3,
+            seeds=(5, 2, 9),
+        )
+        stats = empirical.langevin_train(spec, X, y, X_test, cfg)
+        means, traces = einsum_reference(spec, X, y, X_test, cfg)
+        assert np.allclose(stats.per_seed_means, means, rtol=1e-12, atol=0.0)
+        assert np.allclose(stats.loss_trace, traces, rtol=1e-12, atol=0.0)
+
+    def test_equilibrated_flag(self):
+        spec, X, y, X_test = self.small_problem()
+        eta = empirical.suggest_step_size(spec, X)
+
+        def equilibrated(target, step_size=eta, temperature=0.05, seeds=tuple(range(8)), **kw):
+            cfg = TrainingConfig(
+                step_size=step_size, temperature=temperature, thin=5, seeds=seeds, **kw
+            )
+            return empirical.langevin_train(spec, X, target, X_test, cfg).equilibrated
+
+        # mixed: the drift between halves is within the between-chain error
+        assert equilibrated(y, steps=2000, burn_in=500)
+        # one chain gives no between-chain error to compare against
+        assert not equilibrated(y, steps=2000, burn_in=500, seeds=(0,))
+        # unmixed: no burn-in, a small step and a large target, so every
+        # chain's output is still moving from the prior towards the data
+        assert not equilibrated(
+            5.0 * y, step_size=0.2 * eta, temperature=0.01, steps=100, burn_in=0
+        )
 
     def test_depth_guard(self):
         spec = kernels.NetworkSpec(depth=3, input_dim=4, activation="erf")
