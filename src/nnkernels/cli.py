@@ -391,6 +391,10 @@ def _cmd_featscale(cfg, seed):
         sol = feature.kernel_scaling_solve(
             lam, y_k, int(P), cfg["featscale.kappa2"], cfg["featscale.N"]
         )
+        if not sol.converged:
+            raise RuntimeError(
+                f"kernel scaling did not converge at P={int(P)}: residual {sol.residual:.3e}"
+            )
         lam_s = lam / sol.Q
         pred = curves.learning_curve(lam_s, y_k, int(P), cfg["featscale.kappa2"])
         rows.append([int(P), sol.C_MF, sol.Q, sol.kappa_eff2, sol.D, pred.total])

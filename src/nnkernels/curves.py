@@ -26,9 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 #: spectra are truncated once the remaining tail is this small vs the trace
 TAIL_TRUNCATION_RTOL = 1e-12
+
+#: brentq tolerances of every scalar root solve: the root to a few ulps,
+#: however close to 0 it lies
+BRENTQ_XTOL = 1e-300
+BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+#: most steps ``bracket_root`` takes to find a sign change
+BRACKET_STEPS = 64
 
 
 @dataclass
@@ -100,64 +108,71 @@ def ek_predict(lam, y_k, P: int, kappa2: float) -> LearningCurvePrediction:
     )
 
 
-def effective_ridge_solve(lam, P: int, kappa2: float, rtol: float = 1e-10, max_iter: int = 10_000) -> float:
+def effective_ridge_solve(lam, P: int, kappa2: float) -> float:
     """Self-consistent ridge: kappa_eff^2 = kappa2 + sum_k (P/kappa_eff^2 + 1/lambda_k)^{-1}.
 
-    Damped fixed-point iteration started from the all-unlearnable upper
-    bound kappa2 + sum lambda, with a bisection fallback on the bracket
-    [kappa2, kappa2 + tr K] (the residual is monotone there).
+    Divided by x = kappa_eff^2 the equation reads h(x) = 0 with
+
+        h(x) = 1 - kappa2/x - sum_k lambda_k/(P lambda_k + x),
+
+    strictly increasing in x and >= 0 at kappa2 + tr lambda, so one
+    ``brentq`` finds its only root.  For kappa2 > 0 the bracket is
+    [kappa2, kappa2 + tr lambda]; where h(kappa2 + tr lambda) rounds to
+    <= 0 (tr lambda << kappa2) the root lies within rounding of that end,
+    which is returned.  Ridgeless, h(0+) = 1 - M/P with M the number of
+    positive modes: for M <= P every mode is learnable and the ridge
+    collapses to 0; otherwise ``bracket_root`` shrinks the lower end
+    geometrically from tr lambda until h < 0, and raises ``ValueError``
+    if it cannot.  Never returns an unconverged value.
     """
     lam = np.asarray(lam, dtype=float)
-    lam = lam[lam > 0]
     if P <= 0:
         raise ValueError("P must be positive")
     if kappa2 < 0:
         raise ValueError("kappa2 must be non-negative")
+    positive = lam > 0
+    M = int(np.count_nonzero(positive))
+    if M < lam.size:
+        lam = lam[positive]
     tr = float(lam.sum())
-    if lam.size == 0 or tr == 0.0:
+    if M == 0 or tr == 0.0:
         return kappa2
-
-    def rhs(k2: float) -> float:
-        return kappa2 + float(np.sum(1.0 / (P / k2 + 1.0 / lam)))
-
+    if kappa2 == 0.0 and M <= P:
+        return 0.0
+    args = (lam, P, kappa2, np.empty_like(lam))
     hi = kappa2 + tr
+    if _ridge_residual(hi, *args) <= 0.0:
+        return hi
     if kappa2 == 0.0:
-        # ridgeless: a positive solution exists only if enough modes stay
-        # unlearnable; otherwise the fixed point collapses to 0
-        k2 = hi
-        for _ in range(max_iter):
-            nxt = 0.5 * k2 + 0.5 * rhs(k2)
-            if abs(nxt - k2) <= rtol * max(nxt, 1e-300):
-                return _polish(rhs, nxt, rtol)
-            k2 = nxt
-            if k2 < 1e-300:
-                return 0.0
-        return _polish(rhs, k2, rtol)
-
-    k2 = hi
-    for _ in range(max_iter):
-        nxt = 0.5 * k2 + 0.5 * rhs(k2)
-        if abs(nxt - k2) <= rtol * nxt:
-            return _polish(rhs, nxt, rtol)
-        k2 = nxt
-    # bisection fallback on g(x) = x - rhs(x), increasing in x
-    lo, hi = kappa2, kappa2 + tr
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - rhs(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        return bracket_root(_ridge_residual, hi, 1.0, lambda x: x / 16.0, args)
+    return brentq(_ridge_residual, kappa2, hi, args=args, xtol=BRENTQ_XTOL, rtol=BRENTQ_RTOL)
 
 
-def _polish(rhs, k2: float, rtol: float, rounds: int = 60) -> float:
-    for _ in range(rounds):
-        nxt = rhs(k2)
-        if abs(nxt - k2) <= 0.01 * rtol * max(nxt, 1e-300):
-            return nxt
-        k2 = 0.5 * (k2 + nxt)
-    return k2
+def bracket_root(f, x, sign: float, step, args) -> float:
+    """Root of a monotone scalar ``f(x, *args)`` whose sign at ``x`` is ``sign``.
+
+    ``x`` moves outward, ``x -> step(x)``, at most ``BRACKET_STEPS`` times
+    until f takes the opposite sign; one ``brentq`` then solves on that
+    last step.  Raises ``ValueError`` naming the bracket searched if it
+    never does.  Arrays reach f through ``args``, not a closure: brentq
+    keeps its callable in a reference cycle that outlives the call.
+    """
+    x0 = x
+    for _ in range(BRACKET_STEPS):
+        prev, x = x, step(x)
+        if sign * f(x, *args) < 0.0:
+            lo, hi = sorted((prev, x))
+            return brentq(f, lo, hi, args=args, xtol=BRENTQ_XTOL, rtol=BRENTQ_RTOL)
+    lo, hi = sorted((x0, x))
+    raise ValueError(f"{f.__name__}: no bracket, no sign change on [{lo:.3e}, {hi:.3e}]")
+
+
+def _ridge_residual(x, lam, P, kappa2, buf) -> float:
+    """h(x) = 1 - kappa2/x - sum_k lambda_k/(P lambda_k + x), written as
+    (1/P) sum_k lambda_k/(lambda_k + x/P) so that no P*lambda array is kept."""
+    np.add(lam, x / P, out=buf)
+    np.divide(lam, buf, out=buf)
+    return 1.0 - kappa2 / x - float(buf.sum()) / P
 
 
 def _mode_variance(lam: np.ndarray, P: int, kappa_eff2: float) -> np.ndarray:

@@ -92,7 +92,7 @@ def langevin_train(
     depend on its place in ``cfg.seeds``).  Chain k draws from its own
     Philox stream keyed [seeds[k], 0]: input weights (C, S), then readout
     (N_w, C), then per step C * S + N_w * C normals, input-weight noise
-    first.
+    first; at temperature 0 no noise is drawn.
 
     ``equilibrated`` compares each chain's second-half mean with its
     first-half mean: the drift averaged over chains must lie within three
@@ -128,8 +128,9 @@ def langevin_train(
     W = np.stack([r.standard_normal((C, S)) for r in rngs])  # (k, C, S)
     # readout held channel-major, (k, C, N_w), to match the rows of act below
     a = np.stack([r.standard_normal((Nw, C)).T for r in rngs])
-    # one row of normals per chain per step; noise_W and noise_a are views of it
-    noise = np.empty((n_seeds, C * S + Nw * C))
+    # one row of normals per chain per step (zeros at temperature 0, where
+    # none is drawn); noise_W and noise_a are views of it
+    noise = np.zeros((n_seeds, C * S + Nw * C))
     noise_W = noise[:, : C * S].reshape(n_seeds, C, S)
     noise_a = noise[:, C * S :].reshape(n_seeds, Nw, C).transpose(0, 2, 1)
 
@@ -156,8 +157,9 @@ def langevin_train(
         ra = (a.reshape(n_seeds, C * Nw, 1) * r[:, None, :]).reshape(n_seeds, C, -1)
         ra *= dsigma(u)
         grad_W = c_out * c_in * (ra @ XcT)
-        for rng, z in zip(rngs, noise):
-            rng.standard_normal(out=z)
+        if noise_sd > 0.0:
+            for rng, z in zip(rngs, noise):
+                rng.standard_normal(out=z)
         W += -eta * (grad_W + T_eff * W) + noise_sd * noise_W
         a += -eta * (grad_a + T_eff * a) + noise_sd * noise_a
         sq_err = np.sum(r**2, axis=1)

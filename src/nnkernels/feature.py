@@ -76,51 +76,46 @@ def _scaling_rhs(lam, y_k, P, kappa2, Q, N):
     return rhs, kappa_eff2, D, learn
 
 
-def kernel_scaling_solve(
-    lam,
-    y_k,
-    P: int,
-    kappa2: float,
-    N: float,
-    damping: float = 0.3,
-    rtol: float = 1e-8,
-    max_iter: int = 2000,
-) -> KernelScalingSolution:
+def _scaling_residual(u, lam, y_k, P, kappa2, N) -> float:
+    """C_MF equation at Q = 1 + u: N(1 - 1/Q) - rhs(Q), increasing in its left side."""
+    return N * u / (1.0 + u) - _scaling_rhs(lam, y_k, P, kappa2, 1.0 + u, N)[0]
+
+
+def kernel_scaling_solve(lam, y_k, P: int, kappa2: float, N: float) -> KernelScalingSolution:
     """Solve C_MF/(1 + C_MF/N) = sum_k [l_k - D-term_k - y-term_k] at lambda/Q.
 
-    Outer damped iteration on C_MF; the effective ridge and D are
-    re-solved on the scaled spectrum inside every step.
+    With C_MF = N(Q - 1) the left side is N(1 - 1/Q), which runs from
+    -inf to N over Q > 0, while the right side goes to 0 as Q -> inf; a
+    bracket grown outward from Q = 1 by factors of 2 therefore holds a
+    root, found by ``curves.bracket_root``.  The unknown is u = Q - 1 = C_MF/N,
+    which keeps C_MF to full precision when C_MF << N.  The effective
+    ridge and D of the scaled spectrum are re-solved at every trial Q.
+    ``residual`` is the relative residual of the C_MF equation at the
+    returned root, and ``converged`` means it is below 1e-8.  Raises
+    ``ValueError`` if no bracket is found within the growth cap.
     """
     if N <= 0:
         raise ValueError("N must be positive")
     lam = np.asarray(lam, dtype=float)
     y_k = np.asarray(y_k, dtype=float)
-    C = 0.0
-    residual = np.inf
-    out = (kappa2, 0.0, np.zeros_like(lam))
-    for _ in range(max_iter):
-        Q = 1.0 + C / N
-        if Q <= 0:
-            raise ValueError("kernel scaling diverged to Q <= 0")
-        rhs, kappa_eff2, D, learn = _scaling_rhs(lam, y_k, P, kappa2, Q, N)
-        out = (kappa_eff2, D, learn)
-        if rhs >= N:
-            raise ValueError("consistency target exceeds width N; no finite C_MF")
-        C_new = rhs / (1.0 - rhs / N)
-        residual = abs(C_new - C) / max(abs(C_new), 1.0)
-        C = (1.0 - damping) * C + damping * C_new
-        if residual < rtol:
-            C = C_new
-            break
-    Q = 1.0 + C / N
+    args = (lam, y_k, P, kappa2, N)
+    f0 = _scaling_residual(0.0, *args)
+    u = 0.0
+    if f0 != 0.0:
+        # residual < 0 below the root: Q = 1 + u doubles upward from 1, else halves
+        step = (lambda u: 2.0 * u + 1.0) if f0 < 0.0 else (lambda u: 0.5 * u - 0.5)
+        u = curves.bracket_root(_scaling_residual, 0.0, np.sign(f0), step, args)
+    rhs, kappa_eff2, D, learn = _scaling_rhs(lam, y_k, P, kappa2, 1.0 + u, N)
+    C = N * u
+    residual = abs(C / (1.0 + u) - rhs) / max(abs(rhs), 1.0)
     return KernelScalingSolution(
         C_MF=C,
-        Q=Q,
-        kappa_eff2=out[0],
-        D=out[1],
-        converged=residual < rtol,
+        Q=1.0 + u,
+        kappa_eff2=kappa_eff2,
+        D=D,
+        converged=residual < 1e-8,
         residual=residual,
-        learnability=out[2],
+        learnability=learn,
     )
 
 
@@ -234,36 +229,32 @@ def predicted_learnability(sol: AdaptationSolution, P: int, kappa_eff2: float) -
     return sol.lambda_star / (sol.lambda_star + kappa_eff2 / P)
 
 
-def ondata_adaptation_fixed_point(
-    K,
-    y,
-    chi: float,
-    N: float,
-    kappa2: float,
-    damping: float = 0.5,
-    rtol: float = 1e-12,
-    max_iter: int = 100_000,
-):
+def _ondata_residual(Q, mu, y2, c, ridge) -> float:
+    """g(Q) = 1/Q - 1 + c sum mu y~^2/(Q mu + ridge)^2, strictly decreasing."""
+    return 1.0 / Q - 1.0 + c * float(np.sum(mu * y2 / (Q * mu + ridge) ** 2))
+
+
+def ondata_adaptation_fixed_point(K, y, chi: float, N: float, kappa2: float):
     """Joint fixed point t = [Qbar K + (kappa2/P) I]^{-1} y,
-    Qbar = [1 - (chi/N) t^T K t]^{-1}, by damped alternating updates."""
+    Qbar = [1 - (chi/N) t^T K t]^{-1}.
+
+    With K = V diag(mu) V^T and y~ = V^T y, eliminating t leaves one
+    scalar equation g(Qbar) = 0 (``_ondata_residual``).  g is strictly
+    decreasing, with g(1) >= 0 and g -> -1, so the root is unique in
+    [1, inf): one ``eigh`` of K, then ``curves.bracket_root`` doubles a
+    bracket [1, 2^k] and solves it.  Raises ``ValueError`` if no bracket is found
+    within the growth cap.
+    """
     K = _as_matrix(K)
     y = np.asarray(y, dtype=float)
     P = y.shape[0]
+    mu, V = np.linalg.eigh(K)
+    y_t = V.T @ y
+    args = (mu, y_t**2, chi / N, kappa2 / P)
     Qbar = 1.0
-    t = np.linalg.solve(K + (kappa2 / P) * np.eye(P), y)
-    for _ in range(max_iter):
-        t_new = np.linalg.solve(Qbar * K + (kappa2 / P) * np.eye(P), y)
-        t = (1.0 - damping) * t + damping * t_new
-        denom = 1.0 - (chi / N) * float(t @ K @ t)
-        if denom <= 0:
-            raise ValueError("Qbar pole crossed: 1 - (chi/N) t'Kt <= 0 (diverging feature drive)")
-        Qbar_new = 1.0 / denom
-        r1 = np.linalg.norm((Qbar_new * K + (kappa2 / P) * np.eye(P)) @ t - y)
-        r2 = abs(Qbar_new - Qbar)
-        Qbar = (1.0 - damping) * Qbar + damping * Qbar_new
-        if r1 < rtol * max(np.linalg.norm(y), 1e-300) and r2 < rtol * Qbar_new:
-            Qbar = Qbar_new
-            break
+    if _ondata_residual(1.0, *args) > 0.0:
+        Qbar = curves.bracket_root(_ondata_residual, 1.0, 1.0, lambda q: 2.0 * q, args)
+    t = V @ (y_t / (Qbar * mu + kappa2 / P))
     return t, Qbar
 
 

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from nnkernels import cli, textio
+from nnkernels import cli, feature, textio
 
 
 def run_cli(tmp_path, *args):
@@ -50,6 +50,18 @@ class TestConfigHandling:
     def test_numerical_failure_exit_3(self, tmp_path):
         # epsilon outside (0,1) is a runtime (not schema) ValueError
         code, _ = run_cli(tmp_path, "rg", "--override", "rg.P=64", "--override", "rg.epsilon=2.0")
+        assert code == 3
+
+    def test_featscale_unconverged_exit_3(self, tmp_path, monkeypatch):
+        def unconverged(lam, y_k, P, kappa2, N):
+            return feature.KernelScalingSolution(
+                C_MF=0.0, Q=1.0, kappa_eff2=kappa2, D=0.0, converged=False, residual=1.0
+            )
+
+        monkeypatch.setattr(feature, "kernel_scaling_solve", unconverged)
+        code, _ = run_cli(
+            tmp_path, "featscale", "--override", "featscale.kappa2=0.1", "--override", "featscale.N=50"
+        )
         assert code == 3
 
 

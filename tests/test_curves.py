@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +52,67 @@ class TestEffectiveRidge:
         lam = spectral.powerlaw_spectrum(1.0, 1.0, 2000)
         vals = [curves.effective_ridge_solve(lam, P, 0.1) for P in (8, 32, 128, 512)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_ridgeless_m_equals_p_collapses(self):
+        # h(0+) = 1 - M/P = 0: no positive root
+        assert curves.effective_ridge_solve(np.full(50, 0.02), 50, 0.0) == 0.0
+
+    def test_ridgeless_one_mode_above_p(self):
+        # flat spectrum, M = P + 1: kappa_eff^2 = (1 - P/M) tr = 1/M
+        M = 51
+        k2 = curves.effective_ridge_solve(np.full(M, 1.0 / M), M - 1, 0.0)
+        assert k2 == pytest.approx(1.0 / M, rel=1e-12)
+
+    def test_zero_modes_ignored(self):
+        lam = np.full(40, 0.025)
+        padded = np.concatenate([lam, np.zeros(25)])
+        for P, kappa2 in [(30, 0.0), (30, 0.2), (50, 0.0)]:
+            assert curves.effective_ridge_solve(padded, P, kappa2) == pytest.approx(
+                curves.effective_ridge_solve(lam, P, kappa2), rel=1e-14
+            )
+        # M counts positive modes only: 40 <= 50, so the ridge collapses
+        assert curves.effective_ridge_solve(padded, 50, 0.0) == 0.0
+
+    def test_ridgeless_tiny_root(self):
+        # lam = (1, 1e-30), P = 1: h(x) = 0 reduces to x^2 = 1e-30
+        k2 = curves.effective_ridge_solve(np.array([1.0, 1e-30]), 1, 0.0)
+        assert k2 < 1e-12
+        assert k2 == pytest.approx(1e-15, rel=1e-12)
+
+    def test_trace_below_ridge_rounding(self):
+        # kappa2 + tr rounds to kappa2: the bracket is empty, the root is kappa2
+        assert curves.effective_ridge_solve(np.array([1e-17]), 1, 1.0) == 1.0
+
+    @pytest.mark.parametrize("tr", [1e-9, 1e-12])
+    def test_trace_much_smaller_than_ridge(self, tr):
+        # h(kappa2 + tr) ~ P sum lambda^2 / kappa2^2 is near the rounding of
+        # 1 - kappa2/x; compare with the fixed point, a contraction by ~tr here
+        lam = spectral.powerlaw_spectrum(1.0, 1.0, 100)
+        lam *= tr / lam.sum()
+        x = 1.0 + tr
+        for _ in range(5):
+            x = 1.0 + float(np.sum(1.0 / (10 / x + 1.0 / lam)))
+        assert curves.effective_ridge_solve(lam, 10, 1.0) == pytest.approx(x, rel=1e-15)
+
+    def test_ridgeless_bracket_cap(self):
+        # root 1e-100, below the 16^-64 reach of the shrinking bracket
+        with pytest.raises(ValueError, match="bracket"):
+            curves.effective_ridge_solve(np.array([1.0, 1e-200]), 1, 0.0)
+
+    def test_releases_spectrum(self):
+        # brentq holds its callable in a reference cycle; the spectrum must
+        # not be reachable from it once the call returns
+        gc.collect()
+        gc.disable()
+        try:
+            for kappa2 in (0.0, 0.1):
+                lam = spectral.powerlaw_spectrum(1.0, 1.0, 1000)
+                ref = weakref.ref(lam)
+                curves.effective_ridge_solve(lam, 16, kappa2)
+                del lam
+                assert ref() is None
+        finally:
+            gc.enable()
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erf as sp_erf
@@ -29,6 +33,37 @@ class TestKernelScaling:
         # verify the converged C_MF satisfies the stated equation directly
         rhs, _, _, _ = feature._scaling_rhs(lam, y, 64, 0.1, sol.Q, 50.0)
         assert abs(sol.C_MF / (1.0 + sol.C_MF / 50.0) - rhs) < 1e-7 * max(abs(rhs), 1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(0.3, 2.5),
+        st.integers(4, 400),
+        st.floats(0.0, 2.0),
+        st.floats(1.0, 1e4),
+    )
+    def test_consistency_property(self, alpha, P, kappa2, N):
+        lam = spectral.powerlaw_spectrum(alpha, 1.0, 500)
+        y = aligned_target(lam)
+        sol = feature.kernel_scaling_solve(lam, y, P, kappa2, N)
+        rhs, _, _, _ = feature._scaling_rhs(lam, y, P, kappa2, sol.Q, N)
+        assert sol.converged
+        assert sol.Q == pytest.approx(1.0 + sol.C_MF / N, rel=1e-15)
+        assert abs(sol.C_MF / (1.0 + sol.C_MF / N) - rhs) < 1e-10 * max(abs(rhs), 1.0)
+
+    def test_releases_inputs(self):
+        # brentq holds its callable in a reference cycle; the inputs must
+        # not be reachable from it once the call returns
+        gc.collect()
+        gc.disable()
+        try:
+            lam = spectral.powerlaw_spectrum(1.0, 1.0, 500)
+            y = aligned_target(lam)
+            refs = weakref.ref(lam), weakref.ref(y)
+            feature.kernel_scaling_solve(lam, y, 64, 0.1, 50.0)
+            del lam, y
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
     def test_finite_n_suppresses_kernel(self):
         lam = spectral.powerlaw_spectrum(1.0, 1.0, 500)
@@ -179,10 +214,37 @@ class TestOnData:
         assert Qbar > 1.0
         assert feature.ondata_pre_woodbury_residual(K, y, t, 0.5, 100.0, 0.5) < 1e-8
 
-    def test_pole_divergence(self):
+    def assert_root(self, K, y, chi, N, kappa2, pre_woodbury_tol):
+        t, Qbar = feature.ondata_adaptation_fixed_point(K, y, chi, N, kappa2)
+        P = len(y)
+        denom = 1.0 - (chi / N) * float(t @ K @ t)
+        assert denom > 0.0
+        fixed_t = np.linalg.norm((Qbar * K + (kappa2 / P) * np.eye(P)) @ t - y)
+        assert fixed_t < 1e-11 * np.linalg.norm(y)
+        assert abs(Qbar - 1.0 / denom) < 1e-11 * Qbar
+        assert feature.ondata_pre_woodbury_residual(K, y, t, chi, N, kappa2) < pre_woodbury_tol
+        return Qbar, denom
+
+    def test_near_pole_root(self):
+        # strong drive: the root sits close to the pole, 1 - (chi/N) t'Kt ~ 0.0024
         K, y = self.rand_problem(seed=4)
-        with pytest.raises(ValueError, match="pole"):
-            feature.ondata_adaptation_fixed_point(K, 10 * y, 50.0, 1.0, 0.01)
+        Qbar, denom = self.assert_root(K, 10 * y, 50.0, 1.0, 0.01, 1e-11)
+        assert Qbar == pytest.approx(414.75, abs=0.01)
+        assert denom < 0.01
+
+    @pytest.mark.parametrize(
+        "P, chi_over_n, kappa2, seed, denom",
+        [(40, 0.01, 0.5, 0, 0.55), (200, 0.02, 0.1, 1, 0.12)],
+    )
+    def test_well_posed_random_kernels(self, P, chi_over_n, kappa2, seed, denom):
+        K, y = self.rand_problem(P=P, seed=seed)
+        _, got = self.assert_root(K, y, chi_over_n, 1.0, kappa2, 1e-10)
+        assert got == pytest.approx(denom, abs=0.005)
+
+    def test_bracket_cap(self):
+        # K = I_3: the root grows like sqrt(3 (chi/N)) y0, past 2^64 here
+        with pytest.raises(ValueError, match="bracket"):
+            feature.ondata_adaptation_fixed_point(np.eye(3), np.ones(3), 1e40, 1.0, 0.3)
 
 
 class TestTransfer:
