@@ -159,6 +159,13 @@ SCHEMAS = {
 }
 
 
+_CHOICES = {
+    "net.activation": tuple(kernels.ACTIVATIONS),
+    "kernel.type": ("nngp", "ntk"),
+    "adapt.activation": ("linear", "erf"),
+}
+
+
 def _resolve(command: str, raw: dict) -> dict:
     schema = SCHEMAS[command]
     unknown = set(raw) - set(schema)
@@ -171,6 +178,8 @@ def _resolve(command: str, raw: dict) -> dict:
                 cfg[key] = typ(raw[key])
             except ValueError as e:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r} ({e})") from None
+            if key in _CHOICES and cfg[key] not in _CHOICES[key]:
+                raise ConfigError(f"bad value for {key}: {raw[key]!r} (not one of {_CHOICES[key]})")
         elif default is REQUIRED:
             raise ConfigError(f"missing required config key {key}")
         else:
@@ -189,6 +198,13 @@ def _net_spec(cfg: dict, d: int) -> kernels.NetworkSpec:
         chi=cfg.get("net.chi", 1.0),
         channels=cfg.get("net.channels", 1),
     )
+
+
+def _kernel(cfg: dict, spec: kernels.NetworkSpec, X: np.ndarray) -> kernels.KernelMatrix:
+    """The ``kernel.type`` kernel on the rows of X; NNGP where the command has no such key."""
+    if cfg.get("kernel.type", "nngp") == "nngp":
+        return kernels.nngp_kernel(spec, X)
+    return kernels.ntk_kernel_2layer(spec, X)
 
 
 def _load_data(cfg: dict, seed: int):
@@ -271,11 +287,7 @@ def _loglog_slope(P: np.ndarray, L: np.ndarray) -> float:
 def _cmd_kernel(cfg, seed):
     meas, _ = _load_data(cfg, seed)
     spec = _net_spec(cfg, meas.points.shape[1])
-    K = (
-        kernels.nngp_kernel(spec, meas.points)
-        if cfg["kernel.type"] == "nngp"
-        else kernels.ntk_kernel_2layer(spec, meas.points)
-    )
+    K = _kernel(cfg, spec, meas.points)
     rows = [list(r) for r in K.entries]
     header = [f"k{j}" for j in range(K.n)]
     return header, rows, {"n": K.n, "trace": float(np.trace(K.entries))}
@@ -284,11 +296,7 @@ def _cmd_kernel(cfg, seed):
 def _cmd_spectrum(cfg, seed):
     meas, _ = _load_data(cfg, seed)
     spec = _net_spec(cfg, meas.points.shape[1])
-    K = (
-        kernels.nngp_kernel(spec, meas.points)
-        if cfg["kernel.type"] == "nngp"
-        else kernels.ntk_kernel_2layer(spec, meas.points)
-    )
+    K = _kernel(cfg, spec, meas.points)
     dec = spectral.eigendecompose(K, meas)
     rows = [[k + 1, lam] for k, lam in enumerate(dec.eigenvalues)]
     return ["k", "lambda"], rows, {
@@ -311,11 +319,7 @@ def _cmd_gpr(cfg, seed):
         w = None
     test = empirical.make_synthetic(cfg["data.kind"], d, cfg["test.n"], seed + 1, scale=cfg["data.scale"]).points
     both = np.vstack([X, test])
-    Kfull = (
-        kernels.nngp_kernel(spec, both)
-        if cfg["kernel.type"] == "nngp"
-        else kernels.ntk_kernel_2layer(spec, both)
-    ).entries
+    Kfull = _kernel(cfg, spec, both).entries
     P = X.shape[0]
     post = gpr.gpr_predict(Kfull[:P, :P], Kfull[P:, :P], np.diag(Kfull)[P:], y, cfg["gpr.kappa2"])
     rows = [[i, m, v] for i, (m, v) in enumerate(zip(post.mean, post.variance))]
@@ -405,15 +409,14 @@ def _cmd_adapt(cfg, seed):
     S, Nw, C, chi = cfg["adapt.S"], cfg["adapt.N_w"], cfg["adapt.C"], cfg["adapt.chi"]
     d = S * Nw
     lam_perp = np.full(d, 1.0 / (S * Nw))
+    solver = {"linear": feature.adaptation_solve_linear, "erf": feature.adaptation_solve_erf}[
+        cfg["adapt.activation"]
+    ]
     rows = []
     for P in _p_sweep(cfg):
         kappa_eff2 = curves.effective_ridge_solve(lam_perp, int(P), cfg["adapt.kappa2"])
-        kappa_eff2 = max(kappa_eff2, 1e-12)
-        solver = (
-            feature.adaptation_solve_linear
-            if cfg["adapt.activation"] == "linear"
-            else feature.adaptation_solve_erf
-        )
+        if kappa_eff2 <= 0.0:  # ridgeless with P >= S * N_w modes
+            raise RuntimeError(f"effective ridge collapses to 0 at P={int(P)}")
         sol = solver(S, Nw, C, chi, int(P), kappa_eff2)
         learn = feature.predicted_learnability(sol, int(P), kappa_eff2)
         rows.append([int(P), sol.c_star, sol.c_perp, sol.lambda_star, learn, sol.residual])
@@ -424,9 +427,7 @@ def _cmd_dynamics(cfg, seed):
     meas, _ = _load_data(cfg, seed)
     X = meas.points
     d = X.shape[1]
-    spec = kernels.NetworkSpec(
-        depth=2, input_dim=d, patch_count=cfg["net.patch_count"], activation=cfg["net.activation"]
-    )
+    spec = _net_spec(cfg, d)
     w = _unit_teacher(d, seed)
     y = empirical.make_target(cfg["target.kind"], X, w)
     eta, kappa2, chi = cfg["dyn.eta"], cfg["dyn.kappa2"], cfg["dyn.chi"]
@@ -492,7 +493,7 @@ def _cmd_compare(cfg, seed):
     if mode == "gpr-vs-train":
         spec, X, y, test, w, stats, tc = _train_stats(cfg, seed)
         both = np.vstack([X, test])
-        K = kernels.nngp_kernel(spec, both).entries
+        K = _kernel(cfg, spec, both).entries
         P = X.shape[0]
         post = gpr.gpr_predict(K[:P, :P], K[P:, :P], np.diag(K)[P:], y, cfg["compare.kappa2"])
         rmse = float(np.sqrt(np.mean((stats.mean - post.mean) ** 2)))

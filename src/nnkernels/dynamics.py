@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import NetworkSpec, _as_matrix, derivative_pair_expectation, patch_gram
+from .kernels import ACTIVATIONS, NetworkSpec, _as_matrix, _patches, patch_gram
 from .gpr import gpr_predict
 
 
@@ -120,39 +120,30 @@ def phi_kernels(
 
     The input-weight covariance across a lag s is
     Sigma_w(s) = sigma_w^2 e^{-omega_w s}, so the joint preactivation
-    covariance has equal-time variances and a decayed cross term; for
-    erf both expectations have closed forms, for linear
-    Phi(s) = Sigma_w(s) Kx and Phi' = 1.
+    covariance has equal-time variances and a decayed cross term; the
+    activation table's pair expectations at that covariance give Phi and
+    Phi' (for linear, Phi(s) = Sigma_w(s) Kx and Phi' = 1).
     """
     if spec.depth != 2:
         raise ValueError("dynamics kernels implemented for depth-2 networks")
-    if spec.patch_count > 1 and spec.activation != "linear":
+    if spec.activation == "relu" or (spec.patch_count > 1 and spec.activation != "linear"):
         raise ValueError(
-            "closed-form two-time kernels support nonlinear activations only "
-            "for fully connected nets; use the Monte-Carlo path"
+            "closed-form two-time kernels cover linear nets and fully connected erf nets, not "
+            f"{spec.activation!r} with patch_count={spec.patch_count}; use the Monte-Carlo path"
         )
+    act = ACTIVATIONS[spec.activation]
     Kx = patch_gram(X, spec)
     omega_w = eta * kappa2 / (sigma_w2 * chi)
     decays = np.exp(-omega_w * (grid.times - grid.times[0]))
     n = Kx.shape[0]
+    h = sigma_w2 * np.diag(Kx)
+    v1, v2 = h[:, None], h[None, :]
     Phi = np.empty((grid.steps + 1, n, n))
     dPhi = np.empty_like(Phi)
-    if spec.activation == "linear":
-        for l, dec in enumerate(decays):
-            Phi[l] = sigma_w2 * dec * Kx
-            dPhi[l] = np.ones_like(Kx)
-    elif spec.activation == "erf":
-        h = sigma_w2 * np.diag(Kx)
-        outer = np.outer(1.0 + 2.0 * h, 1.0 + 2.0 * h)
-        for l, dec in enumerate(decays):
-            rho = sigma_w2 * dec * Kx
-            Phi[l] = (2.0 / np.pi) * np.arcsin(np.clip(2.0 * rho / np.sqrt(outer), -1.0, 1.0))
-            dPhi[l] = (4.0 / np.pi) / np.sqrt(outer - 4.0 * rho**2)
-    else:
-        raise ValueError(
-            f"no closed-form two-time kernel for {spec.activation!r}; "
-            "use the Monte-Carlo path"
-        )
+    for l, dec in enumerate(decays):
+        cov = sigma_w2 * dec * Kx
+        Phi[l] = act.pair(v1, v2, cov)
+        dPhi[l] = act.dpair(v1, v2, cov)
     return TwoTimeKernel(Phi), TwoTimeKernel(dPhi)
 
 
@@ -167,32 +158,29 @@ def phi_kernels_mc(
     paths: int,
     seed: int,
 ) -> TwoTimeKernel:
-    """Monte-Carlo estimate of Phi by simulating stationary OU weight paths."""
-    from scipy.special import erf as _erf
+    """Monte-Carlo estimate of Phi by simulating stationary OU weight paths.
 
-    sigma = {"linear": lambda z: z, "erf": _erf, "relu": lambda z: np.maximum(z, 0.0)}[
-        spec.activation
-    ]
-    Xp = np.asarray(X, dtype=float).reshape(X.shape[0], spec.patch_count, spec.patch_size)
-    n = X.shape[0]
+    Phi is the per-patch activation Gram averaged over patches.
+    """
+    sigma = ACTIVATIONS[spec.activation].sigma
+    Xp = _patches(X, spec.input_dim, spec.patch_count)
+    n, Nw, S = Xp.shape
     omega_w = eta * kappa2 / (sigma_w2 * chi)
     h = grid.h
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    S = spec.patch_size
     w = np.sqrt(sigma_w2) * rng.standard_normal((paths, S))
     a_dec = np.exp(-omega_w * h)
     noise_sd = np.sqrt(sigma_w2 * (1.0 - a_dec**2))
-    acts0 = None
     Phi = np.zeros((grid.steps + 1, n, n))
     count = np.zeros(grid.steps + 1)
     acts = []
     for j in range(grid.steps + 1):
-        u = np.einsum("ps,nis->pni", w, Xp) / np.sqrt(S)
-        acts.append(sigma(u).mean(axis=2))  # patch-average of activations
+        u = np.einsum("ps,nis->pni", w, Xp) / np.sqrt(spec._input_divisor)
+        acts.append(sigma(u))  # (paths, n, N_w)
         w = a_dec * w + noise_sd * rng.standard_normal((paths, S))
     for j in range(grid.steps + 1):
         for l in range(j + 1):
-            Phi[j - l] += acts[j].T @ acts[l] / paths
+            Phi[j - l] += sum(acts[j][:, :, i].T @ acts[l][:, :, i] for i in range(Nw)) / (paths * Nw)
             count[j - l] += 1
     Phi /= count[:, None, None]
     return TwoTimeKernel(Phi)

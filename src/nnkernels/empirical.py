@@ -17,13 +17,11 @@ ensembles reproduce bit for bit and are invariant to seed ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf
 
-from .gpr import gpr_predict
-from .kernels import NetworkSpec, ntk_kernel_2layer
+from .kernels import ACTIVATIONS, NetworkSpec, ntk_kernel_2layer
 from .spectral import DataMeasure
 
 
@@ -53,16 +51,6 @@ class EnsembleStats:
     loss_trace: np.ndarray  # (n_seeds, n_recorded)
     equilibrated: bool
     split_half_gap: float
-
-
-def _activation(name: str):
-    if name == "linear":
-        return (lambda z: z), (lambda z: 1.0)
-    if name == "erf":
-        return _erf, (lambda z: (2.0 / math.sqrt(math.pi)) * np.exp(-(z**2)))
-    if name == "relu":
-        return (lambda z: np.maximum(z, 0.0)), (lambda z: (z > 0).astype(float))
-    raise ValueError(f"unsupported activation {name!r}")
 
 
 def suggest_step_size(spec: NetworkSpec, X: np.ndarray, safety: float = 0.05) -> float:
@@ -107,7 +95,7 @@ def langevin_train(
     y = np.asarray(y, dtype=float)
     X_test = np.asarray(X_test, dtype=float)
     Nw, S, C = spec.patch_count, spec.patch_size, spec.channels
-    sigma, dsigma = _activation(spec.activation)
+    sigma, dsigma = ACTIVATIONS[spec.activation].sigma, ACTIVATIONS[spec.activation].dsigma
     c_in = math.sqrt(spec.weight_var / spec._input_divisor)
     c_out = math.sqrt(spec.readout_var / (spec.chi * Nw * C))
     T_eff = cfg.temperature / spec.chi

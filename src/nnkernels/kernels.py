@@ -17,18 +17,82 @@ The input-layer Gram matrix is per-patch ``x_i . x'_i / S`` averaged over
 patches, so inputs normalised to ``|x|^2 ~ d`` give unit kernel diagonal.
 The divisor is configurable (``input_scale``) because both ``1/S`` and
 ``1/d`` conventions appear in the literature.
+
+Activations
+-----------
+``ACTIVATIONS`` (rows of type ``Activation``) is the one place where
+activation math lives; every kernel, two-time kernel and oracle reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-ACTIVATIONS = ("linear", "erf", "relu")
+from scipy.special import erf
 
 _ASIN_CLAMP_TOL = 1e-12
+
+
+def _arcsine(v1, v2, cov):
+    """E[erf(u) erf(v)], the arcsine kernel; raises if asin's argument leaves [-1, 1]."""
+    x = 2.0 * cov / np.sqrt((1.0 + 2.0 * v1) * (1.0 + 2.0 * v2))
+    bad = np.max(np.abs(x)) - 1.0
+    if bad > _ASIN_CLAMP_TOL:
+        raise FloatingPointError(f"asin argument out of range by {bad:.3e}")
+    return (2.0 / np.pi) * np.arcsin(np.clip(x, -1.0, 1.0))
+
+
+def _arc_cosine(order: int, v1, v2, cov):
+    """Arc-cosine kernel of order 0 (E[step(u) step(v)]) or 1 (E[relu(u) relu(v)])."""
+    norm = np.sqrt(v1 * v2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(norm > 0, cov / np.where(norm > 0, norm, 1.0), 0.0)
+    theta = np.arccos(np.clip(rho, -1.0, 1.0))
+    if order == 0:
+        return (np.pi - theta) / (2.0 * np.pi)
+    return (norm / (2.0 * np.pi)) * (np.sin(theta) + (np.pi - theta) * np.cos(theta))
+
+
+class Activation(NamedTuple):
+    """An activation's elementwise maps and its Gaussian pair expectations.
+
+    ``pair`` / ``dpair`` map (var u, var v, cov), which broadcast, to
+    E[sigma(u) sigma(v)] / E[sigma'(u) sigma'(v)] for zero-mean jointly
+    Gaussian (u, v): for erf the arcsine kernel (Williams 1997) and a
+    Gaussian integral, for relu the arc-cosine kernels of order 1 and 0
+    (Cho & Saul 2009).
+    """
+
+    sigma: Callable
+    dsigma: Callable
+    pair: Callable
+    dpair: Callable
+
+
+ACTIVATIONS = {
+    "linear": Activation(
+        lambda z: z,
+        lambda z: 1.0,  # a scalar: the Langevin step multiplies by it in place
+        lambda v1, v2, cov: np.array(cov, dtype=float),
+        lambda v1, v2, cov: np.ones(np.broadcast(v1, v2, cov).shape),
+    ),
+    "erf": Activation(
+        erf,
+        lambda z: (2.0 / math.sqrt(math.pi)) * np.exp(-(z**2)),
+        _arcsine,
+        # a 2-d Gaussian integral of exp(-u^2 - v^2): (4/pi) / sqrt(det(I + 2 H_2x2))
+        lambda v1, v2, cov: (4.0 / np.pi) / np.sqrt((1.0 + 2.0 * v1) * (1.0 + 2.0 * v2) - 4.0 * cov**2),
+    ),
+    "relu": Activation(
+        lambda z: np.maximum(z, 0.0),
+        lambda z: (z > 0).astype(float),
+        lambda v1, v2, cov: _arc_cosine(1, v1, v2, cov),
+        lambda v1, v2, cov: _arc_cosine(0, v1, v2, cov),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -99,12 +163,13 @@ def _as_matrix(K) -> np.ndarray:
     return K.entries if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
 
 
-def _clamped_asin(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    bad = np.max(np.abs(x)) - 1.0
-    if bad > _ASIN_CLAMP_TOL:
-        raise FloatingPointError(f"asin argument out of range by {bad:.3e}")
-    return np.arcsin(np.clip(x, -1.0, 1.0))
+def _on_covariance(activation: str, H: np.ndarray, derivative: bool) -> np.ndarray:
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unsupported activation {activation!r}")
+    act = ACTIVATIONS[activation]
+    H = np.asarray(H, dtype=float)
+    h = np.diag(H)
+    return (act.dpair if derivative else act.pair)(h[:, None], h[None, :], H)
 
 
 def pair_expectation(activation: str, H: np.ndarray) -> np.ndarray:
@@ -114,51 +179,37 @@ def pair_expectation(activation: str, H: np.ndarray) -> np.ndarray:
     the marginal variances.  Closed forms: linear is the identity, erf is
     the arcsine kernel, relu the first arc-cosine kernel.
     """
-    H = np.asarray(H, dtype=float)
-    if activation == "linear":
-        return H.copy()
-    h = np.diag(H)
-    if activation == "erf":
-        denom = np.sqrt(np.outer(1.0 + 2.0 * h, 1.0 + 2.0 * h))
-        return (2.0 / np.pi) * _clamped_asin(2.0 * H / denom)
-    if activation == "relu":
-        norm = np.sqrt(np.outer(h, h))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(norm > 0, H / np.where(norm > 0, norm, 1.0), 0.0)
-        theta = np.arccos(np.clip(rho, -1.0, 1.0))
-        return (norm / (2.0 * np.pi)) * (np.sin(theta) + (np.pi - theta) * np.cos(theta))
-    raise ValueError(f"unsupported activation {activation!r}")
+    return _on_covariance(activation, H, derivative=False)
 
 
 def derivative_pair_expectation(activation: str, H: np.ndarray) -> np.ndarray:
     """E[act'(u) act'(v)] under the same joint Gaussian as above."""
-    H = np.asarray(H, dtype=float)
-    if activation == "linear":
-        return np.ones_like(H)
-    h = np.diag(H)
-    if activation == "erf":
-        # act'(z) = (2/sqrt(pi)) exp(-z^2); the expectation is a 2-d
-        # Gaussian integral, (4/pi) / sqrt(det(I + 2 H_2x2)).
-        det = np.outer(1.0 + 2.0 * h, 1.0 + 2.0 * h) - 4.0 * H**2
-        return (4.0 / np.pi) / np.sqrt(det)
-    if activation == "relu":
-        norm = np.sqrt(np.outer(h, h))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(norm > 0, H / np.where(norm > 0, norm, 1.0), 0.0)
-        theta = np.arccos(np.clip(rho, -1.0, 1.0))
-        return (np.pi - theta) / (2.0 * np.pi)
-    raise ValueError(f"unsupported activation {activation!r}")
+    return _on_covariance(activation, H, derivative=True)
 
 
-def patch_gram(X: np.ndarray, spec: NetworkSpec) -> np.ndarray:
-    """Input-layer kernel: per-patch Gram averaged over patches."""
+def _patches(X: np.ndarray, input_dim: int, patch_count: int) -> np.ndarray:
+    """Inputs checked (finite, ``input_dim`` columns) and viewed as (n, N_w, S) patches."""
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("inputs must be finite")
     n, d = X.shape
-    if d != spec.input_dim:
+    if d != input_dim:
         raise ValueError("input dimension mismatch")
-    Xp = X.reshape(n, spec.patch_count, spec.patch_size)
+    return X.reshape(n, patch_count, d // patch_count)
+
+
+def _patch_sum(X: np.ndarray, input_dim: int, patch_count: int, term) -> np.ndarray:
+    """Sum over the patches X_i (each n x S) of checked inputs of ``term(X_i)``."""
+    Xp = _patches(X, input_dim, patch_count)
+    K = np.zeros((Xp.shape[0], Xp.shape[0]))
+    for i in range(patch_count):
+        K += term(Xp[:, i, :])
+    return K
+
+
+def patch_gram(X: np.ndarray, spec: NetworkSpec) -> np.ndarray:
+    """Input-layer kernel: per-patch Gram averaged over patches."""
+    Xp = _patches(X, spec.input_dim, spec.patch_count)
     G = np.einsum("mis,nis->mn", Xp, Xp) / (spec.patch_count * spec._input_divisor)
     return 0.5 * (G + G.T)
 
@@ -177,17 +228,9 @@ def nngp_kernel(spec: NetworkSpec, X: np.ndarray) -> KernelMatrix:
     if spec.patch_count > 1:
         if spec.depth != 2:
             raise ValueError("CNN NNGP implemented for depth 2 only")
-        X = np.asarray(X, dtype=float)
-        if not np.all(np.isfinite(X)):
-            raise ValueError("inputs must be finite")
-        n, d = X.shape
-        if d != spec.input_dim:
-            raise ValueError("input dimension mismatch")
-        Xp = X.reshape(n, spec.patch_count, spec.patch_size)
-        K = np.zeros((n, n))
-        for i in range(spec.patch_count):
-            Gi = Xp[:, i, :] @ Xp[:, i, :].T / spec._input_divisor
-            K += pair_expectation(spec.activation, spec.weight_var * Gi + spec.bias_var)
+        K = _patch_sum(X, spec.input_dim, spec.patch_count, lambda Xi: pair_expectation(
+            spec.activation, spec.weight_var * (Xi @ Xi.T / spec._input_divisor) + spec.bias_var
+        ))
         return KernelMatrix((spec.readout_var / spec.chi) * K / spec.patch_count)
     G = patch_gram(X, spec)
     for _ in range(spec.depth - 1):
@@ -206,16 +249,14 @@ def ntk_kernel_2layer(spec: NetworkSpec, X: np.ndarray) -> KernelMatrix:
     """
     if spec.depth != 2:
         raise ValueError("NTK closed form implemented for depth 2 only")
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    Xp = X.reshape(n, spec.patch_count, spec.patch_size)
-    Theta = np.zeros((n, n))
-    for i in range(spec.patch_count):
-        Kxi = Xp[:, i, :] @ Xp[:, i, :].T / spec._input_divisor
+
+    def term(Xi):
+        Kxi = Xi @ Xi.T / spec._input_divisor
         H = spec.weight_var * Kxi + spec.bias_var
         Phi = pair_expectation(spec.activation, H)
-        dPhi = derivative_pair_expectation(spec.activation, H)
-        Theta += Phi + spec.weight_var * dPhi * Kxi
+        return Phi + spec.weight_var * derivative_pair_expectation(spec.activation, H) * Kxi
+
+    Theta = _patch_sum(X, spec.input_dim, spec.patch_count, term)
     return KernelMatrix((spec.readout_var / spec.chi) * Theta / spec.patch_count)
 
 
@@ -227,7 +268,7 @@ def adapted_kernel_erf(Sigma: np.ndarray, X: np.ndarray, patch_count: int = 1) -
 
     the Erf-Erf Gaussian expectation with preactivation covariance
     x_i' Sigma x'_i; Sigma = sigma_w^2 I / S recovers the lazy NNGP
-    kernel.
+    kernel.  ``X`` has ``patch_count`` patches of Sigma's size each.
     """
     Sigma = np.asarray(Sigma, dtype=float)
     if np.max(np.abs(Sigma - Sigma.T)) > 1e-10 * (np.max(np.abs(Sigma)) or 1.0):
@@ -235,21 +276,9 @@ def adapted_kernel_erf(Sigma: np.ndarray, X: np.ndarray, patch_count: int = 1) -
     evals = np.linalg.eigvalsh(Sigma)
     if evals.size and evals[0] < -1e-10 * max(evals[-1], 1.0):
         raise ValueError("Sigma must be positive semi-definite")
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    if d % patch_count != 0:
-        raise ValueError("patch_count must divide input dimension")
-    S = d // patch_count
-    if Sigma.shape != (S, S):
-        raise ValueError("Sigma must be patch_size x patch_size")
-    Xp = X.reshape(n, patch_count, S)
-    K = np.zeros((n, n))
-    for i in range(patch_count):
-        Xi = Xp[:, i, :]
-        A = Xi @ Sigma @ Xi.T
-        diag = np.diag(A)
-        denom = np.sqrt(np.outer(1.0 + 2.0 * diag, 1.0 + 2.0 * diag))
-        K += (2.0 / np.pi) * _clamped_asin(np.clip(2.0 * A / denom, -1.0, 1.0))
+    K = _patch_sum(
+        X, patch_count * Sigma.shape[0], patch_count, lambda Xi: pair_expectation("erf", Xi @ Sigma @ Xi.T)
+    )
     return KernelMatrix(K / patch_count)
 
 
@@ -257,14 +286,7 @@ def _forward(spec: NetworkSpec, X: np.ndarray, rng: np.random.Generator, n_sampl
     """Outputs of ``n_samples`` random networks; shape (n_samples, n_points)."""
     n, d = X.shape
     C = spec.channels
-    if spec.activation == "linear":
-        sigma = lambda z: z
-    elif spec.activation == "erf":
-        from scipy.special import erf as _erf
-
-        sigma = _erf
-    else:
-        sigma = lambda z: np.maximum(z, 0.0)
+    sigma = ACTIVATIONS[spec.activation].sigma
 
     if spec.depth == 2:
         Nw, S = spec.patch_count, spec.patch_size

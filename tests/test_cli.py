@@ -52,6 +52,37 @@ class TestConfigHandling:
         code, _ = run_cli(tmp_path, "rg", "--override", "rg.P=64", "--override", "rg.epsilon=2.0")
         assert code == 3
 
+    def test_unknown_kernel_type_exit_2(self, tmp_path):
+        code, _ = run_cli(
+            tmp_path, "kernel", "--override", "data.d=4", "--override", "data.n=3",
+            "--override", "kernel.type=banana",
+        )
+        assert code == 2
+
+    def test_unknown_net_activation_exit_2(self, tmp_path):
+        code, _ = run_cli(
+            tmp_path, "kernel", "--override", "data.d=4", "--override", "data.n=3",
+            "--override", "net.activation=tanh",
+        )
+        assert code == 2
+
+    def test_unsupported_adapt_activation_exit_2(self, tmp_path):
+        code, _ = run_cli(
+            tmp_path, "adapt", "--override", "adapt.S=16", "--override", "adapt.N_w=4",
+            "--override", "adapt.C=64", "--override", "adapt.chi=100",
+            "--override", "adapt.activation=relu",
+        )
+        assert code == 2
+
+    def test_adapt_collapsed_ridge_exit_3(self, tmp_path):
+        # ridgeless, the effective ridge is 0 once P >= S * N_w = 64 modes
+        code, out = run_cli(
+            tmp_path, "adapt", "--override", "adapt.kappa2=0", "--override", "adapt.S=16",
+            "--override", "adapt.N_w=4", "--override", "adapt.C=64", "--override", "adapt.chi=100",
+        )
+        assert code == 3
+        assert not out.exists()
+
     def test_featscale_unconverged_exit_3(self, tmp_path, monkeypatch):
         def unconverged(lam, y_k, P, kappa2, N):
             return feature.KernelScalingSolution(

@@ -103,6 +103,21 @@ class TestPhiKernels:
         with pytest.raises(ValueError):
             dynamics.phi_kernels(spec, X, TimeGrid.uniform(1.0, 2), 1.0, 0.5, 10.0, 1.0, 1.0)
 
+    def test_relu_rejected(self):
+        spec, X, _ = make_problem(activation="relu")
+        with pytest.raises(ValueError):
+            dynamics.phi_kernels(spec, X, TimeGrid.uniform(1.0, 2), 1.0, 0.5, 10.0, 1.0, 1.0)
+
+    def test_mc_oracle_linear_cnn(self):
+        # per-patch activation Grams averaged over patches, as in the closed
+        # form; the MC error at 20k paths is about 1% of the largest entry
+        spec, X, _ = make_problem(P=5, d=8, patch_count=2)
+        grid = TimeGrid.uniform(2.0, 4)
+        Phi, _ = dynamics.phi_kernels(spec, X, grid, 1.0, 0.5, 5.0, 1.0, 1.0)
+        Phi_mc = dynamics.phi_kernels_mc(spec, X, grid, 1.0, 0.5, 5.0, 1.0, 20_000, 3)
+        scale = np.max(np.abs(Phi.lag_values))
+        assert np.max(np.abs(Phi_mc.lag_values - Phi.lag_values)) < 0.05 * scale
+
     def test_mc_oracle_erf(self):
         spec, X, _ = make_problem(P=4, activation="erf")
         grid = TimeGrid.uniform(2.0, 4)

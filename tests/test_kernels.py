@@ -108,7 +108,67 @@ class TestNNGP:
         assert np.linalg.eigvalsh(K)[0] > -1e-10 * max(np.trace(K), 1.0)
 
 
+def polar_gauss_expectation(f, g, v1, v2, cov, n=64):
+    """E[f(u) g(v)] for zero-mean Gaussian (u, v) by 2-d Gauss quadrature.
+
+    u = a z1 and v = b z1 + c z2 with z standard normal; in polar
+    coordinates z = r (cos p, sin p) the density is e^{-t} dt dp / (2 pi)
+    with t = r^2 / 2, so t takes Gauss-Laguerre nodes and p Gauss-Legendre
+    nodes on each arc between the angles where u or v changes sign.  The
+    kinks of relu and its step derivative then fall on arc ends, where
+    plain Gauss-Hermite nodes would converge slowly across them.
+    """
+    a = math.sqrt(v1)
+    b = cov / a
+    c = math.sqrt(v2 - b * b)
+    t, wt = np.polynomial.laguerre.laggauss(n)
+    r = np.sqrt(2.0 * t)[:, None]
+    v_zero = math.atan2(c, b) + math.pi / 2  # v = 0 at this angle and the opposite one
+    ends = sorted(
+        {0.0, math.pi / 2, 3 * math.pi / 2, 2 * math.pi}
+        | {v_zero % (2 * math.pi), (v_zero + math.pi) % (2 * math.pi)}
+    )
+    x, wx = np.polynomial.legendre.leggauss(n)
+    total = 0.0
+    for p0, p1 in zip(ends[:-1], ends[1:]):
+        p = 0.5 * (p1 - p0) * x + 0.5 * (p1 + p0)
+        z1, z2 = r * np.cos(p), r * np.sin(p)
+        total += wt @ (f(a * z1) * g(b * z1 + c * z2)) @ (0.5 * (p1 - p0) * wx)
+    return total / (2.0 * math.pi)
+
+
+class TestActivationTable:
+    @pytest.mark.parametrize("name", ["linear", "erf", "relu"])
+    @pytest.mark.parametrize(
+        "v1, v2, cov",
+        [
+            (0.7, 1.6, 0.5),  # unequal variances
+            (0.4, 2.5, -0.3),  # unequal variances, negative covariance
+            (1.3, 1.3, 1.3 * math.exp(-0.8)),  # equal-time variances, decayed covariance
+        ],
+    )
+    def test_expectations_match_quadrature(self, name, v1, v2, cov):
+        act = kernels.ACTIVATIONS[name]
+        sigma = lambda z: act.sigma(z) + np.zeros_like(z)
+        dsigma = lambda z: act.dsigma(z) + np.zeros_like(z)  # linear's is the scalar 1
+        assert act.pair(v1, v2, cov) == pytest.approx(
+            polar_gauss_expectation(sigma, sigma, v1, v2, cov), abs=1e-12
+        )
+        assert act.dpair(v1, v2, cov) == pytest.approx(
+            polar_gauss_expectation(dsigma, dsigma, v1, v2, cov), abs=1e-12
+        )
+
+
 class TestNTK:
+    def test_input_validation(self):
+        spec = NetworkSpec(depth=2, input_dim=4, patch_count=2, activation="erf")
+        X = np.random.default_rng(9).standard_normal((3, 4))
+        X[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            kernels.ntk_kernel_2layer(spec, X)
+        with pytest.raises(ValueError, match="input dimension"):
+            kernels.ntk_kernel_2layer(spec, np.ones((3, 6)))
+
     def test_linear_fcn_theta_is_2k(self):
         d = 6
         spec = NetworkSpec(depth=2, input_dim=d, activation="linear")
