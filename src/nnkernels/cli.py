@@ -79,7 +79,7 @@ SCHEMAS = {
         **_TARGET_KEYS,
         **_SWEEP_KEYS,
         "curve.kappa2": (float, 0.0),
-        "curve.ridge_mode": (str, "effective"),  # effective | rg
+        "curve.ridge_mode": (str, "effective"),
         "rg.epsilon": (float, 0.01),
     },
     "rg": {
@@ -163,6 +163,8 @@ _CHOICES = {
     "net.activation": tuple(kernels.ACTIVATIONS),
     "kernel.type": ("nngp", "ntk"),
     "adapt.activation": ("linear", "erf"),
+    "curve.ridge_mode": ("effective", "rg"),
+    "data.kind": ("gaussian_iid", "hypersphere_uniform"),
 }
 
 

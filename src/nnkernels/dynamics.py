@@ -160,7 +160,9 @@ def phi_kernels_mc(
 ) -> TwoTimeKernel:
     """Monte-Carlo estimate of Phi by simulating stationary OU weight paths.
 
-    Phi is the per-patch activation Gram averaged over patches.
+    Phi is the per-patch activation Gram averaged over patches.  Lag l
+    averages act(t + l) act(t)^T over every time t, path and patch, as
+    one product of the stacked activations.
     """
     sigma = ACTIVATIONS[spec.activation].sigma
     Xp = _patches(X, spec.input_dim, spec.patch_count)
@@ -171,18 +173,17 @@ def phi_kernels_mc(
     w = np.sqrt(sigma_w2) * rng.standard_normal((paths, S))
     a_dec = np.exp(-omega_w * h)
     noise_sd = np.sqrt(sigma_w2 * (1.0 - a_dec**2))
-    Phi = np.zeros((grid.steps + 1, n, n))
-    count = np.zeros(grid.steps + 1)
-    acts = []
-    for j in range(grid.steps + 1):
-        u = np.einsum("ps,nis->pni", w, Xp) / np.sqrt(spec._input_divisor)
-        acts.append(sigma(u))  # (paths, n, N_w)
+    XpT = Xp.transpose(2, 1, 0).reshape(S, Nw * n) / np.sqrt(spec._input_divisor)  # column i * n + m: patch i of x_m
+    T = grid.steps
+    acts = np.empty((T + 1, paths, Nw, n))
+    for j in range(T + 1):
+        acts[j] = sigma(w @ XpT).reshape(paths, Nw, n)
         w = a_dec * w + noise_sd * rng.standard_normal((paths, S))
-    for j in range(grid.steps + 1):
-        for l in range(j + 1):
-            Phi[j - l] += sum(acts[j][:, :, i].T @ acts[l][:, :, i] for i in range(Nw)) / (paths * Nw)
-            count[j - l] += 1
-    Phi /= count[:, None, None]
+    Phi = np.empty((T + 1, n, n))
+    for lag in range(T + 1):
+        later = acts[lag:].reshape(-1, n)  # rows (time, path, patch), time lag apart
+        earlier = acts[: T + 1 - lag].reshape(-1, n)
+        Phi[lag] = later.T @ earlier / ((T + 1 - lag) * paths * Nw)
     return TwoTimeKernel(Phi)
 
 

@@ -91,6 +91,8 @@ def langevin_train(
     """
     if spec.depth != 2:
         raise ValueError("Langevin oracle implemented for depth-2 networks")
+    if spec.bias_var != 0:
+        raise ValueError("Langevin oracle samples bias-free networks; bias_var must be 0")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     X_test = np.asarray(X_test, dtype=float)

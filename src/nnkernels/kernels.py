@@ -282,55 +282,67 @@ def adapted_kernel_erf(Sigma: np.ndarray, X: np.ndarray, patch_count: int = 1) -
     return KernelMatrix(K / patch_count)
 
 
-def _forward(spec: NetworkSpec, X: np.ndarray, rng: np.random.Generator, n_samples: int) -> np.ndarray:
-    """Outputs of ``n_samples`` random networks; shape (n_samples, n_points)."""
-    n, d = X.shape
+#: Bytes allowed for each per-block array of ``empirical_kernel_mc``
+#: (one sample's layer activations times the block's sample count).
+MC_BLOCK_BYTES = 64 << 20
+
+
+def _forward(spec: NetworkSpec, Xp: np.ndarray, rng: np.random.Generator, n_samples: int) -> np.ndarray:
+    """Last hidden layer of ``n_samples`` random networks, transposed.
+
+    ``Xp`` holds the (n, N_w, S) input patches; the result has shape
+    (n_samples, C, N_w * n), column ``i * n + m`` being patch i of input m.
+
+    Each layer is drawn from its exact law given the layer below.  For one
+    sample's (rows x width_in) activations h and iid N(0, 1) weights W,
+    h @ W has the law of F @ Z with Z iid N(0, 1) of shape
+    (k, C), k = min(width_in, rows): F is h itself when width_in <= rows,
+    else R^T from h^T = QR, because Q^T W is again iid N(0, 1).  Unlike a
+    Cholesky factor of h h^T this stays exact when h h^T is singular.
+    Every hidden layer is still sampled at width C, with k * C normals per
+    layer and sample instead of width_in * C.  A bias, one N(0, sigma_b^2)
+    per unit, is drawn after the weights and only when ``bias_var > 0``.
+    """
+    if spec.depth > 2 and spec.patch_count != 1:
+        raise ValueError("depth > 2 Monte Carlo supports fully connected nets only")
     C = spec.channels
     sigma = ACTIVATIONS[spec.activation].sigma
-
-    if spec.depth == 2:
-        Nw, S = spec.patch_count, spec.patch_size
-        Xp = X.reshape(n, Nw, S)
-        W = rng.standard_normal((n_samples * C, S))
-        U = np.sqrt(spec.weight_var / spec._input_divisor) * np.einsum(
-            "ks,nis->kin", W, Xp
-        )  # (n_samples*C, Nw, n)
-        Hact = sigma(U).reshape(n_samples, C, Nw, n)
-        a = rng.standard_normal((n_samples, Nw, C))
-        f = np.einsum("bic,bcin->bn", a, Hact)
-        return math.sqrt(spec.readout_var / (spec.chi * Nw * C)) * f
-
-    if spec.patch_count != 1:
-        raise ValueError("depth > 2 Monte Carlo supports fully connected nets only")
-    h = np.broadcast_to(X, (n_samples, n, d))
-    width_in = d
+    # the patches as (S, N_w * n) columns: the first layer's input, shared by every sample
+    hT = Xp.transpose(2, 1, 0).reshape(Xp.shape[2], -1)
     div = spec._input_divisor
     for _ in range(spec.depth - 1):
-        W = rng.standard_normal((n_samples, width_in, C))
-        h = sigma(np.sqrt(spec.weight_var / div) * np.einsum("bnd,bdc->bnc", h, W))
-        width_in, div = C, C
-    a = rng.standard_normal((n_samples, C))
-    f = np.einsum("bnc,bc->bn", h, a)
-    return math.sqrt(spec.readout_var / (spec.chi * C)) * f
+        if hT.shape[-2] > hT.shape[-1]:
+            hT = np.linalg.qr(hT, mode="r")  # R with R^T R = h h^T
+        pre = rng.standard_normal((n_samples, C, hT.shape[-2])) @ hT
+        pre *= math.sqrt(spec.weight_var / div)
+        if spec.bias_var > 0:
+            pre += math.sqrt(spec.bias_var) * rng.standard_normal((n_samples, C, 1))
+        hT = sigma(pre)
+        div = C
+    return hT
 
 
-def empirical_kernel_mc(
-    spec: NetworkSpec,
-    X: np.ndarray,
-    samples: int,
-    seed: int,
-    block_size: int = 1 << 13,
-) -> KernelMatrix:
+def empirical_kernel_mc(spec: NetworkSpec, X: np.ndarray, samples: int, seed: int) -> KernelMatrix:
     """Monte-Carlo estimate of the output covariance over weight draws.
 
-    Each block of samples gets its own counter-based RNG stream keyed by
+    Hidden layers are sampled at finite width (``_forward``); the
+    readout is integrated instead of drawn: given the last layer H, with
+    C channels and N_w patches, E[f f^T | H] = sigma_a^2 / (chi N_w C) *
+    sum over channels and patches of H H^T.  The estimator has the mean
+    of the drawn readout and no larger variance.
+
+    Blocks hold as many samples as keep every per-block array, of
+    n * max(N_w * C, d) floats per sample, within ``MC_BLOCK_BYTES``.
+    Each block gets its own counter-based RNG stream keyed by
     ``(seed, block index)``, so the result is independent of how blocks
     are scheduled.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
+    Xp = _patches(X, spec.input_dim, spec.patch_count)
+    n = Xp.shape[0]
+    per_sample = 8 * n * max(spec.patch_count * spec.channels, spec.input_dim)
+    block_size = max(1, MC_BLOCK_BYTES // per_sample)
     M = np.zeros((n, n))
     done = 0
     block = 0
@@ -338,11 +350,11 @@ def empirical_kernel_mc(
         b = min(block_size, samples - done)
         key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        f = _forward(spec, X, rng, b)
-        M += f.T @ f
+        H = _forward(spec, Xp, rng, b).reshape(-1, n)
+        M += H.T @ H
         done += b
         block += 1
-    return KernelMatrix(M / samples)
+    return KernelMatrix(M * spec.readout_var / (spec.chi * spec.patch_count * spec.channels * samples))
 
 
 def wick_moment(mu: np.ndarray, Sigma: np.ndarray, indices) -> float:

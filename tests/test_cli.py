@@ -74,6 +74,17 @@ class TestConfigHandling:
         )
         assert code == 2
 
+    def test_unknown_curve_ridge_mode_exit_2(self, tmp_path):
+        code, _ = run_cli(tmp_path, "curve", "--override", "curve.ridge_mode=banana")
+        assert code == 2
+
+    def test_unknown_data_kind_exit_2(self, tmp_path):
+        code, _ = run_cli(
+            tmp_path, "kernel", "--override", "data.d=4", "--override", "data.n=3",
+            "--override", "data.kind=banana",
+        )
+        assert code == 2
+
     def test_adapt_collapsed_ridge_exit_3(self, tmp_path):
         # ridgeless, the effective ridge is 0 once P >= S * N_w = 64 modes
         code, out = run_cli(

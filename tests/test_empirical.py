@@ -256,6 +256,13 @@ class TestLangevin:
         with pytest.raises(ValueError):
             empirical.langevin_train(spec, np.ones((2, 4)), np.ones(2), np.ones((1, 4)), cfg)
 
+    def test_bias_rejected(self):
+        # the chains carry no bias parameters, so a biased spec would sample another network
+        spec = kernels.NetworkSpec(depth=2, input_dim=4, activation="erf", bias_var=0.5)
+        cfg = TrainingConfig(step_size=0.01, temperature=0.1, steps=10, burn_in=1)
+        with pytest.raises(ValueError, match="bias_var"):
+            empirical.langevin_train(spec, np.ones((2, 4)), np.ones(2), np.ones((1, 4)), cfg)
+
     def test_suggest_step_size_scales(self):
         spec, X, y, _ = self.small_problem()
         assert empirical.suggest_step_size(spec, X, safety=0.1) == pytest.approx(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,95 @@ class TestNNGP:
         K = kernels.nngp_kernel(spec, X).entries
         assert np.allclose(K, K.T, atol=1e-12)
         assert np.linalg.eigvalsh(K)[0] > -1e-10 * max(np.trace(K), 1.0)
+
+
+def full_weight_network(spec, X, rng, samples):
+    """Fully connected nets with every weight drawn, readout included.
+
+    Returns the last hidden layer, (samples, n, C), and the outputs, (samples, n).
+    """
+    n, d = X.shape
+    sigma = kernels.ACTIVATIONS[spec.activation].sigma
+    h, width_in, div = np.broadcast_to(X, (samples, n, d)), d, spec._input_divisor
+    for _ in range(spec.depth - 1):
+        W = rng.standard_normal((samples, width_in, spec.channels))
+        pre = math.sqrt(spec.weight_var / div) * h @ W
+        pre += math.sqrt(spec.bias_var) * rng.standard_normal((samples, 1, spec.channels))
+        h, width_in, div = sigma(pre), spec.channels, spec.channels
+    a = rng.standard_normal((samples, spec.channels, 1))
+    return h, math.sqrt(spec.readout_var / (spec.chi * spec.channels)) * (h @ a)[:, :, 0]
+
+
+def mc_agree(a, b):
+    """True if the means of two sample stacks agree within 5 standard errors per entry."""
+    se = np.sqrt((np.var(a, axis=0) + np.var(b, axis=0)) / a.shape[0])
+    return bool(np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5.0 * se + 1e-12))
+
+
+def assert_sampler_matches_reference(spec, X, samples, seed):
+    """The package's sampler against the full-weight reference, on independent streams.
+
+    Per sample, the last hidden layer's Gram G = H H^T must have the same
+    law (its mean and the mean of its squared entries are compared), and
+    the integrated readout's scale * G must have the mean of the drawn
+    readout's f f^T.
+    """
+    h, f = full_weight_network(spec, X, np.random.default_rng([seed, 0]), samples)
+    HT = kernels._forward(spec, X[:, None, :], np.random.default_rng([seed, 1]), samples)
+    G_ref, G = h @ np.swapaxes(h, 1, 2), np.swapaxes(HT, 1, 2) @ HT
+    assert np.all(np.isfinite(G))
+    assert mc_agree(G_ref, G)
+    assert mc_agree(G_ref**2, G**2)
+    scale = spec.readout_var / (spec.chi * spec.channels)
+    assert mc_agree(f[:, :, None] * f[:, None, :], scale * G)
+
+
+class TestMCSampler:
+    @pytest.mark.parametrize("depth", [3, 4])
+    @pytest.mark.parametrize("activation", ["relu", "erf"])
+    @pytest.mark.parametrize("channels", [3, 16])  # below and above the 6 points
+    def test_law_matches_full_weight_reference(self, depth, activation, channels):
+        spec = NetworkSpec(depth=depth, input_dim=5, activation=activation, channels=channels)
+        X = math.sqrt(5) * unit_rows(6, 5, seed=depth + channels)
+        assert_sampler_matches_reference(spec, X, 20_000, seed=channels)
+
+    def test_singular_hidden_gram(self):
+        # a zero input row zeroes its relu units, so every hidden Gram is singular; d > n
+        # and C > n send both hidden layers through the QR factor
+        spec = NetworkSpec(depth=3, input_dim=10, activation="relu", channels=12)
+        X = math.sqrt(10) * unit_rows(4, 10, seed=1)
+        X[2] = 0.0
+        assert_sampler_matches_reference(spec, X, 20_000, seed=2)
+        K = kernels.empirical_kernel_mc(spec, X, samples=20_000, seed=3).entries
+        assert np.all(np.isfinite(K)) and not np.any(K[2])
+
+    @pytest.mark.parametrize(
+        "depth, activation, channels",
+        [(2, "linear", 1), (2, "erf", 1), (2, "relu", 1), (3, "relu", 64)],
+    )
+    def test_bias_matches_recursion(self, depth, activation, channels):
+        spec = NetworkSpec(
+            depth=depth, input_dim=5, activation=activation, channels=channels, bias_var=0.5
+        )
+        X = math.sqrt(5) * unit_rows(6, 5, seed=12)
+        samples = 200_000 if depth == 2 else 20_000
+        Kmc = kernels.empirical_kernel_mc(spec, X, samples=samples, seed=13).entries
+        K = kernels.nngp_kernel(spec, X).entries
+        # |E f f'| <= sqrt(K K') bounds the SE of each product by sqrt(2 / samples) max K
+        assert np.max(np.abs(Kmc - K)) < 5.0 * math.sqrt(2.0 / samples) * np.max(np.diag(K))
+
+    @pytest.mark.parametrize("channels", [256, 512])
+    def test_memory_bounded_by_block_budget(self, channels):
+        n = 6
+        spec = NetworkSpec(depth=3, input_dim=5, activation="relu", channels=channels)
+        block = kernels.MC_BLOCK_BYTES // (8 * n * channels)
+        tracemalloc.start()
+        try:
+            kernels.empirical_kernel_mc(spec, unit_rows(n, 5, seed=4), samples=2 * block + 1, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * kernels.MC_BLOCK_BYTES
 
 
 def polar_gauss_expectation(f, g, v1, v2, cov, n=64):
