@@ -8,11 +8,12 @@ The package is organised around one pipeline:
             (``dynamics``), all checked against Monte-Carlo / Langevin
             oracles (``empirical``).
 
-Everything is plain numpy/scipy; all randomness flows through explicit
-seeds so results are reproducible bit for bit.
+Everything is plain numpy/scipy; all randomness flows through
+``rng.stream(seed, purpose, index)`` so results are reproducible bit for
+bit.
 """
 
-from . import curves, dynamics, empirical, feature, gpr, kernels, spectral
+from . import curves, dynamics, empirical, feature, gpr, kernels, rng, spectral
 
 __all__ = [
     "curves",
@@ -21,6 +22,7 @@ __all__ = [
     "feature",
     "gpr",
     "kernels",
+    "rng",
     "spectral",
 ]
 

@@ -1,12 +1,17 @@
 """Command-line front end.
 
-    nnkernels COMMAND --config cfg.kv --out DIR [--seed N] [--threads N]
-                      [--override key=value ...]
+    nnkernels COMMAND --config cfg.kv --out DIR [--seed N] [--override key=value ...]
 
 Configs are flat ``key = value`` text with dotted prefixes.  Every run
 writes ``results.csv`` (comma, '.' decimal, LF), ``summary.kv``, and
 ``manifest.kv`` (the resolved config) into the output directory; reruns
 with identical config and seed are byte-identical.
+
+``--seed`` is any integer in [0, 2^64).  Every draw comes from an
+``rng.stream(seed, purpose, index)``: synthetic points ("data", one draw
+of data.n + test.n points split into training and test points), the unit
+teacher ("teacher"), the Langevin chain seeds ("chains") and the
+dataset-averaging oracle ("dataset_mc").
 
 Exit codes: 0 success (and, for ``compare``, all checks passed),
 1 a comparison check failed, 2 configuration error, 3 numerical failure.
@@ -20,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, curves, dynamics, empirical, feature, gpr, kernels, spectral, textio
+from . import __version__, curves, dynamics, empirical, feature, gpr, kernels, rng, spectral, textio
 
 
 class ConfigError(Exception):
@@ -165,6 +170,22 @@ _CHOICES = {
     "adapt.activation": ("linear", "erf"),
     "curve.ridge_mode": ("effective", "rg"),
     "data.kind": ("gaussian_iid", "hypersphere_uniform"),
+    "compare.mode": ("gpr-vs-train", "theory-vs-mc"),
+}
+
+_SPECTRAL_TARGETS = ("aligned", "uniform", "power")
+_TEACHER_TARGETS = ("single_index_linear", "cubic_single_index")
+# target.kind names a target in mode space for the spectral commands and a
+# teacher on the data for the data commands; compare takes either, because
+# its two modes need one each (see _cmd_compare)
+_TARGET_KINDS = {
+    "curve": _SPECTRAL_TARGETS,
+    "rg": _SPECTRAL_TARGETS,
+    "featscale": _SPECTRAL_TARGETS,
+    "gpr": _TEACHER_TARGETS,
+    "dynamics": _TEACHER_TARGETS,
+    "train": _TEACHER_TARGETS,
+    "compare": _SPECTRAL_TARGETS + _TEACHER_TARGETS,
 }
 
 
@@ -180,8 +201,9 @@ def _resolve(command: str, raw: dict) -> dict:
                 cfg[key] = typ(raw[key])
             except ValueError as e:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r} ({e})") from None
-            if key in _CHOICES and cfg[key] not in _CHOICES[key]:
-                raise ConfigError(f"bad value for {key}: {raw[key]!r} (not one of {_CHOICES[key]})")
+            choices = _TARGET_KINDS[command] if key == "target.kind" else _CHOICES.get(key)
+            if choices and cfg[key] not in choices:
+                raise ConfigError(f"bad value for {key}: {raw[key]!r} (not one of {choices})")
         elif default is REQUIRED:
             raise ConfigError(f"missing required config key {key}")
         else:
@@ -209,8 +231,14 @@ def _kernel(cfg: dict, spec: kernels.NetworkSpec, X: np.ndarray) -> kernels.Kern
     return kernels.ntk_kernel_2layer(spec, X)
 
 
-def _load_data(cfg: dict, seed: int):
-    """Measure plus optional file-based labels (label column by header name)."""
+def _load_data(cfg: dict, seed: int, test_n: int = 0):
+    """Measure, optional file-based labels (label column by header name), test points.
+
+    The ``test_n`` test points are rows data.n onward of one synthetic
+    draw of data.n + test_n points.  For synthetic data its first data.n
+    rows are the training points, so no test point repeats one.
+    """
+    n = cfg["data.n"]
     if cfg.get("data.file"):
         M = textio.read_matrix(cfg["data.file"], header=False)
         with open(cfg["data.file"]) as fh:
@@ -230,11 +258,14 @@ def _load_data(cfg: dict, seed: int):
             y = body[:, j]
             body = np.delete(body, j, axis=1)
         meas = spectral.DataMeasure.uniform(body)
-        return meas, y
-    meas = empirical.make_synthetic(
-        cfg["data.kind"], cfg["data.d"], cfg["data.n"], seed, scale=cfg.get("data.scale", 1.0)
-    )
-    return meas, None
+        test = _synthetic(cfg, body.shape[1], n + test_n, seed)[n:] if test_n else body[:0]
+        return meas, y, test
+    points = _synthetic(cfg, cfg["data.d"], n + test_n, seed)
+    return spectral.DataMeasure.uniform(points[:n]), None, points[n:]
+
+
+def _synthetic(cfg: dict, d: int, n: int, seed: int) -> np.ndarray:
+    return empirical.make_synthetic(cfg["data.kind"], d, n, seed, scale=cfg["data.scale"]).points
 
 
 def _is_float(s: str) -> bool:
@@ -246,8 +277,7 @@ def _is_float(s: str) -> bool:
 
 
 def _unit_teacher(d: int, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 7], dtype=np.uint64)))
-    w = rng.standard_normal(d)
+    w = rng.stream(seed, "teacher").standard_normal(d)
     return w / np.linalg.norm(w)
 
 
@@ -262,11 +292,9 @@ def _spectrum_and_target(cfg: dict):
         y /= np.linalg.norm(y)
     elif kind == "uniform":
         y = np.full(m, 1.0 / np.sqrt(m))
-    elif kind == "power":
+    else:  # power
         y = np.arange(1, m + 1, dtype=float) ** (-cfg.get("target.exponent", 1.0))
         y /= np.linalg.norm(y)
-    else:
-        raise ConfigError(f"unknown target.kind {kind!r} for spectral commands")
     return lam, cfg.get("target.norm", 1.0) * y
 
 
@@ -287,7 +315,7 @@ def _loglog_slope(P: np.ndarray, L: np.ndarray) -> float:
 
 
 def _cmd_kernel(cfg, seed):
-    meas, _ = _load_data(cfg, seed)
+    meas, _, _ = _load_data(cfg, seed)
     spec = _net_spec(cfg, meas.points.shape[1])
     K = _kernel(cfg, spec, meas.points)
     rows = [list(r) for r in K.entries]
@@ -296,7 +324,7 @@ def _cmd_kernel(cfg, seed):
 
 
 def _cmd_spectrum(cfg, seed):
-    meas, _ = _load_data(cfg, seed)
+    meas, _, _ = _load_data(cfg, seed)
     spec = _net_spec(cfg, meas.points.shape[1])
     K = _kernel(cfg, spec, meas.points)
     dec = spectral.eigendecompose(K, meas)
@@ -309,7 +337,7 @@ def _cmd_spectrum(cfg, seed):
 
 
 def _cmd_gpr(cfg, seed):
-    meas, y_file = _load_data(cfg, seed)
+    meas, y_file, test = _load_data(cfg, seed, cfg["test.n"])
     X = meas.points
     d = X.shape[1]
     spec = _net_spec(cfg, d)
@@ -319,7 +347,6 @@ def _cmd_gpr(cfg, seed):
     else:
         y = y_file
         w = None
-    test = empirical.make_synthetic(cfg["data.kind"], d, cfg["test.n"], seed + 1, scale=cfg["data.scale"]).points
     both = np.vstack([X, test])
     Kfull = _kernel(cfg, spec, both).entries
     P = X.shape[0]
@@ -426,10 +453,15 @@ def _cmd_adapt(cfg, seed):
 
 
 def _cmd_dynamics(cfg, seed):
-    meas, _ = _load_data(cfg, seed)
+    meas, _, _ = _load_data(cfg, seed)
     X = meas.points
     d = X.shape[1]
     spec = _net_spec(cfg, d)
+    if not dynamics.closed_form_covers(spec):
+        raise ConfigError(
+            f"dynamics covers linear nets and fully connected erf nets, not "
+            f"net.activation={spec.activation} with net.patch_count={spec.patch_count}"
+        )
     w = _unit_teacher(d, seed)
     y = empirical.make_target(cfg["target.kind"], X, w)
     eta, kappa2, chi = cfg["dyn.eta"], cfg["dyn.kappa2"], cfg["dyn.chi"]
@@ -454,23 +486,21 @@ def _cmd_dynamics(cfg, seed):
 
 
 def _train_stats(cfg, seed):
-    meas, _ = _load_data(cfg, seed)
+    meas, _, test = _load_data(cfg, seed, cfg["test.n"])
     X = meas.points
     d = X.shape[1]
     spec = _net_spec(cfg, d)
     w = _unit_teacher(d, seed)
     y = empirical.make_target(cfg["target.kind"], X, w)
-    test = empirical.make_synthetic(
-        cfg["data.kind"], d, cfg["test.n"], seed + 1, scale=cfg["data.scale"]
-    ).points
     step = cfg["train.step_size"] or empirical.suggest_step_size(spec, X)
+    chain_seeds = rng.stream(seed, "chains").bit_generator.random_raw(cfg["train.n_seeds"])
     tc = empirical.TrainingConfig(
         step_size=step,
         temperature=cfg["train.temperature"] if "train.temperature" in cfg else cfg["compare.kappa2"],
         steps=cfg["train.steps"],
         burn_in=cfg["train.burn_in"],
         thin=cfg["train.thin"],
-        seeds=tuple(seed * 1000 + i for i in range(cfg["train.n_seeds"])),
+        seeds=tuple(chain_seeds.tolist()),
     )
     stats = empirical.langevin_train(spec, X, y, test, tc)
     return spec, X, y, test, w, stats, tc
@@ -493,6 +523,8 @@ def _cmd_compare(cfg, seed):
     tol = cfg["compare.tolerance"]
     rows = []
     if mode == "gpr-vs-train":
+        if cfg["target.kind"] not in _TEACHER_TARGETS:
+            raise ConfigError(f"gpr-vs-train needs a teacher target.kind, one of {_TEACHER_TARGETS}")
         spec, X, y, test, w, stats, tc = _train_stats(cfg, seed)
         both = np.vstack([X, test])
         K = _kernel(cfg, spec, both).entries
@@ -502,9 +534,9 @@ def _cmd_compare(cfg, seed):
         scale = float(np.sqrt(np.mean(post.mean**2)))
         dev = rmse / max(scale, 1e-300)
         rows.append(["ensemble_mean_vs_gpr_rel_rmse", dev, 0.0, dev, tol, dev < tol])
-    elif mode == "theory-vs-mc":
+    else:  # theory-vs-mc; a teacher target.kind, the default, means aligned
         scfg = dict(cfg)
-        if scfg["target.kind"] not in ("aligned", "uniform", "power"):
+        if scfg["target.kind"] not in _SPECTRAL_TARGETS:
             scfg["target.kind"] = "aligned"
         lam, y_k = _spectrum_and_target(scfg)
         P = cfg["compare.P"]
@@ -520,8 +552,6 @@ def _cmd_compare(cfg, seed):
         rows.append(
             ["type_ii_variance", th_ii, mc.type_ii_variance, dev_ii, 1.5 * tol, dev_ii < 1.5 * tol]
         )
-    else:
-        raise ConfigError(f"unknown compare.mode {mode!r}")
     ok = all(r[-1] for r in rows)
     return (
         ["quantity", "theory", "oracle", "deviation", "tolerance", "pass"],
@@ -545,12 +575,12 @@ _HANDLERS = {
 }
 
 
-def run(command: str, cfg: dict, out_dir: str, seed: int, threads: int = 1) -> int:
+def run(command: str, cfg: dict, out_dir: str, seed: int) -> int:
     header, rows, summary = _HANDLERS[command](cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
     textio.write_csv(os.path.join(out_dir, "results.csv"), header, rows)
     textio.write_kv(os.path.join(out_dir, "summary.kv"), summary)
-    manifest = {"command": command, "seed": seed, "threads": threads, "version": __version__}
+    manifest = {"command": command, "seed": seed, "version": __version__}
     manifest.update({k: cfg[k] for k in sorted(cfg)})
     textio.write_kv(os.path.join(out_dir, "manifest.kv"), manifest)
     if command == "compare" and not summary.get("all_passed", True):
@@ -563,8 +593,7 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=sorted(_HANDLERS))
     ap.add_argument("--config", default=None, help="flat key = value config file")
     ap.add_argument("--out", required=True, help="output directory")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--seed", type=int, default=0, help="any integer in [0, 2^64)")
     ap.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
     args = ap.parse_args(argv)
 
@@ -576,12 +605,13 @@ def main(argv=None) -> int:
             k, _, v = item.partition("=")
             raw[k.strip()] = v.strip()
         cfg = _resolve(args.command, raw)
+        rng.check_seed(args.seed)
     except (ConfigError, OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
     try:
-        return run(args.command, cfg, args.out, args.seed, args.threads)
+        return run(args.command, cfg, args.out, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -36,6 +36,7 @@ import scipy.linalg
 
 from .kernels import ACTIVATIONS, NetworkSpec, _as_matrix, _patches, patch_gram
 from .gpr import gpr_predict
+from .rng import stream
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,11 @@ def ntk_flow(Theta_D, y, f0, gamma: float, grid: TimeGrid, theta_star=None, f0_t
     return train, test
 
 
+def closed_form_covers(spec: NetworkSpec) -> bool:
+    """Whether ``phi_kernels`` has a closed form: linear nets and fully connected erf nets."""
+    return spec.activation == "linear" or (spec.activation == "erf" and spec.patch_count == 1)
+
+
 def phi_kernels(
     spec: NetworkSpec,
     X: np.ndarray,
@@ -126,7 +132,7 @@ def phi_kernels(
     """
     if spec.depth != 2:
         raise ValueError("dynamics kernels implemented for depth-2 networks")
-    if spec.activation == "relu" or (spec.patch_count > 1 and spec.activation != "linear"):
+    if not closed_form_covers(spec):
         raise ValueError(
             "closed-form two-time kernels cover linear nets and fully connected erf nets, not "
             f"{spec.activation!r} with patch_count={spec.patch_count}; use the Monte-Carlo path"
@@ -162,14 +168,16 @@ def phi_kernels_mc(
 
     Phi is the per-patch activation Gram averaged over patches.  Lag l
     averages act(t + l) act(t)^T over every time t, path and patch, as
-    one product of the stacked activations.
+    one product of the stacked activations.  The paths draw from
+    ``stream(seed, "ou_paths")``: the initial weights, then one (paths, S)
+    block of OU noise per time step after the first.
     """
     sigma = ACTIVATIONS[spec.activation].sigma
     Xp = _patches(X, spec.input_dim, spec.patch_count)
     n, Nw, S = Xp.shape
     omega_w = eta * kappa2 / (sigma_w2 * chi)
     h = grid.h
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = stream(seed, "ou_paths")
     w = np.sqrt(sigma_w2) * rng.standard_normal((paths, S))
     a_dec = np.exp(-omega_w * h)
     noise_sd = np.sqrt(sigma_w2 * (1.0 - a_dec**2))
@@ -178,7 +186,8 @@ def phi_kernels_mc(
     acts = np.empty((T + 1, paths, Nw, n))
     for j in range(T + 1):
         acts[j] = sigma(w @ XpT).reshape(paths, Nw, n)
-        w = a_dec * w + noise_sd * rng.standard_normal((paths, S))
+        if j < T:
+            w = a_dec * w + noise_sd * rng.standard_normal((paths, S))
     Phi = np.empty((T + 1, n, n))
     for lag in range(T + 1):
         later = acts[lag:].reshape(-1, n)  # rows (time, path, patch), time lag apart

@@ -10,8 +10,10 @@ the NTK parametrization (equivalently weight decay gamma = T/(2 sigma^2)
 in the conventional scaling).  Its infinite-width mean predictor is GPR
 with the NNGP kernel and ridge T (chi cancels between kernel and noise).
 
-All randomness is counter-based (Philox) and keyed by explicit seeds so
-ensembles reproduce bit for bit and are invariant to seed ordering.
+All randomness comes from ``rng.stream`` (seed, purpose, index) streams:
+data points from "data", Langevin chains from "langevin" (one stream per
+chain seed), dataset draws from "dataset_mc".  Ensembles reproduce bit
+for bit and are invariant to seed ordering.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import ACTIVATIONS, NetworkSpec, ntk_kernel_2layer
+from .rng import stream
 from .spectral import DataMeasure
 
 
@@ -41,6 +44,9 @@ class TrainingConfig:
             raise ValueError("thin must be >= 1")
         if self.step_size <= 0 or self.temperature < 0:
             raise ValueError("step_size > 0 and temperature >= 0 required")
+        if len(set(self.seeds)) != len(self.seeds):
+            # identical chains would make the between-chain spread meaningless
+            raise ValueError(f"chain seeds must be distinct, got {self.seeds}")
 
 
 @dataclass
@@ -78,9 +84,9 @@ def langevin_train(
     contraction of a step is a matrix product batched over the chain
     axis (never one product across chains, so a chain's numbers do not
     depend on its place in ``cfg.seeds``).  Chain k draws from its own
-    Philox stream keyed [seeds[k], 0]: input weights (C, S), then readout
-    (N_w, C), then per step C * S + N_w * C normals, input-weight noise
-    first; at temperature 0 no noise is drawn.
+    stream, ``stream(seeds[k], "langevin")``: input weights (C, S), then
+    readout (N_w, C), then per step C * S + N_w * C normals, input-weight
+    noise first; at temperature 0 no noise is drawn.
 
     ``equilibrated`` compares each chain's second-half mean with its
     first-half mean: the drift averaged over chains must lie within three
@@ -111,10 +117,7 @@ def langevin_train(
     XcT = np.ascontiguousarray(Xc.T)
     n_seeds = len(cfg.seeds)
 
-    rngs = [
-        np.random.Generator(np.random.Philox(key=np.array([s, 0], dtype=np.uint64)))
-        for s in cfg.seeds
-    ]
+    rngs = [stream(s, "langevin") for s in cfg.seeds]
     W = np.stack([r.standard_normal((C, S)) for r in rngs])  # (k, C, S)
     # readout held channel-major, (k, C, N_w), to match the rows of act below
     a = np.stack([r.standard_normal((Nw, C)).T for r in rngs])
@@ -228,7 +231,7 @@ def dataset_averaged_gpr_mc(
     lam = np.asarray(lam, dtype=float)
     y_k = np.asarray(y_k, dtype=float)
     M = lam.size
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = stream(seed, "dataset_mc")
     sum_c = np.zeros(M)
     sum_c2 = np.zeros(M)
     loss_sum = 0.0
@@ -263,12 +266,13 @@ def make_synthetic(kind: str, d: int, n: int, seed: int, scale: float = 1.0) -> 
 
     gaussian_iid draws N(0, I_d / d) (so |x|^2 ~ 1); hypersphere_uniform
     projects Gaussians onto |x| = 1.  ``scale`` multiplies the points
-    (e.g. sqrt(d) recovers unit-variance entries).
+    (e.g. sqrt(d) recovers unit-variance entries).  Rows are drawn in
+    order from ``stream(seed, "data")``, so the n points are the first n
+    rows of any larger draw with the same seed.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    Z = rng.standard_normal((n, d))
+    Z = stream(seed, "data").standard_normal((n, d))
     if kind == "gaussian_iid":
         X = Z / math.sqrt(d)
     elif kind == "hypersphere_uniform":

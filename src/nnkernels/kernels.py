@@ -33,6 +33,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import erf
 
+from .rng import stream
+
 _ASIN_CLAMP_TOL = 1e-12
 
 
@@ -333,9 +335,8 @@ def empirical_kernel_mc(spec: NetworkSpec, X: np.ndarray, samples: int, seed: in
 
     Blocks hold as many samples as keep every per-block array, of
     n * max(N_w * C, d) floats per sample, within ``MC_BLOCK_BYTES``.
-    Each block gets its own counter-based RNG stream keyed by
-    ``(seed, block index)``, so the result is independent of how blocks
-    are scheduled.
+    Block b draws from ``stream(seed, "kernel_mc", b)``, so the result is
+    independent of how blocks are scheduled.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -348,9 +349,7 @@ def empirical_kernel_mc(spec: NetworkSpec, X: np.ndarray, samples: int, seed: in
     block = 0
     while done < samples:
         b = min(block_size, samples - done)
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        H = _forward(spec, Xp, rng, b).reshape(-1, n)
+        H = _forward(spec, Xp, stream(seed, "kernel_mc", block), b).reshape(-1, n)
         M += H.T @ H
         done += b
         block += 1

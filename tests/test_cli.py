@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from nnkernels import cli, feature, textio
+from nnkernels import cli, empirical, feature, rng, textio
 
 
 def run_cli(tmp_path, *args):
@@ -85,6 +85,42 @@ class TestConfigHandling:
         )
         assert code == 2
 
+    def test_gpr_unknown_target_kind_exit_2(self, tmp_path):
+        code, _ = run_cli(
+            tmp_path, "gpr", "--override", "data.d=4", "--override", "data.n=3",
+            "--override", "gpr.kappa2=0.1", "--override", "target.kind=banana",
+        )
+        assert code == 2
+
+    def test_compare_theory_vs_mc_unknown_target_kind_exit_2(self, tmp_path):
+        code, _ = run_cli(
+            tmp_path, "compare", "--override", "compare.mode=theory-vs-mc",
+            "--override", "spectrum.count=200", "--override", "compare.draws=10",
+            "--override", "target.kind=banana",
+        )
+        assert code == 2
+
+    def test_compare_gpr_vs_train_spectral_target_exit_2(self, tmp_path):
+        code, _ = run_cli(tmp_path, "compare", "--override", "target.kind=aligned")
+        assert code == 2
+
+    def test_unknown_compare_mode_exit_2(self, tmp_path):
+        code, _ = run_cli(tmp_path, "compare", "--override", "compare.mode=banana")
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "activation, patch_count", [("relu", 1), ("erf", 2)], ids=["relu", "erf_cnn"]
+    )
+    def test_dynamics_unsupported_net_exit_2(self, tmp_path, activation, patch_count):
+        code, out = run_cli(
+            tmp_path, "dynamics", "--override", "data.d=4", "--override", "data.n=3",
+            "--override", "dyn.kappa2=0.1", "--override", "dyn.steps=10",
+            "--override", f"net.activation={activation}",
+            "--override", f"net.patch_count={patch_count}",
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_adapt_collapsed_ridge_exit_3(self, tmp_path):
         # ridgeless, the effective ridge is 0 once P >= S * N_w = 64 modes
         code, out = run_cli(
@@ -105,6 +141,75 @@ class TestConfigHandling:
             tmp_path, "featscale", "--override", "featscale.kappa2=0.1", "--override", "featscale.N=50"
         )
         assert code == 3
+
+
+SMALL_TRAIN = [
+    "--override", "data.d=5",
+    "--override", "data.n=8",
+    "--override", "net.activation=linear",
+    "--override", "net.channels=8",
+    "--override", "train.steps=120",
+    "--override", "train.burn_in=40",
+    "--override", "train.n_seeds=2",
+    "--override", "test.n=6",
+]
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["kernel", "--override", "data.d=4", "--override", "data.n=3"],
+            ["train", *SMALL_TRAIN, "--override", "train.temperature=0.05"],
+            # a loose tolerance: this checks that every u64 seed runs, not the oracle's accuracy
+            ["compare", *SMALL_TRAIN, "--override", "compare.tolerance=10"],
+        ],
+        ids=["kernel", "train", "compare"],
+    )
+    def test_u64_seed_runs(self, tmp_path, args, seed):
+        code, out = run_cli(tmp_path, *args, "--seed", seed)
+        assert code == 0
+        assert textio.read_kv(out / "manifest.kv")["seed"] == seed
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize(
+        "args", [["curve"], ["kernel", "--override", "data.d=4", "--override", "data.n=3"]]
+    )
+    def test_seed_out_of_range_exit_2(self, tmp_path, args, seed):
+        code, out = run_cli(tmp_path, *args, f"--seed={seed}")
+        assert code == 2
+        assert not out.exists()
+
+    def test_threads_option_removed(self, tmp_path):
+        with pytest.raises(SystemExit):
+            run_cli(tmp_path, "curve", "--threads", "2")
+
+    def test_test_points_follow_training_points(self):
+        raw = {"data.d": "3", "data.n": "5", "test.n": "4", "train.temperature": "0.1"}
+        cfg = cli._resolve("train", raw)
+        meas, _, test = cli._load_data(cfg, 6, cfg["test.n"])
+        both = empirical.make_synthetic("gaussian_iid", 3, 9, 6).points
+        assert np.array_equal(meas.points, both[:5]) and np.array_equal(test, both[5:])
+        # the next seed's training points are not this seed's test points
+        nxt, _, _ = cli._load_data(cfg, 7)
+        assert not np.any(np.isin(test, nxt.points))
+
+    def test_train_streams_never_share_a_key(self, tmp_path, monkeypatch):
+        # chain 0 once drew its initial weights from the training data's key
+        keys = []
+        make_stream = rng.stream
+
+        def recording(seed, purpose, index=0):
+            gen = make_stream(seed, purpose, index)
+            keys.append(tuple(gen.bit_generator.state["state"]["key"].tolist()))
+            return gen
+
+        for module in (rng, empirical):
+            monkeypatch.setattr(module, "stream", recording)
+        code, _ = run_cli(tmp_path, "train", *SMALL_TRAIN, "--override", "train.temperature=0.05")
+        assert code == 0
+        assert len(set(keys)) == len(keys) == 5  # data, teacher, chain seeds, two chains
 
 
 class TestOutputs:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.special import erf
 
 from nnkernels import curves, empirical, gpr, kernels
 from nnkernels.empirical import TrainingConfig
+from nnkernels.rng import stream
 
 ACTIVATIONS = {
     "linear": (lambda z: z, lambda z: np.ones_like(z)),
@@ -17,9 +19,9 @@ ACTIVATIONS = {
 def einsum_reference(spec, X, y, X_test, cfg):
     """Per-seed test means and loss traces from plain einsum steps, one chain at a time.
 
-    Each chain's Philox stream gives the input weights (C, S), the readout
-    (N_w, C), then per step the input-weight noise (C, S) and the readout
-    noise (N_w, C).
+    Each chain's stream, ``stream(seed, "langevin")`` as in the program,
+    gives the input weights (C, S), the readout (N_w, C), then per step
+    the input-weight noise (C, S) and the readout noise (N_w, C).
     """
     sigma, dsigma = ACTIVATIONS[spec.activation]
     Nw, S, C = spec.patch_count, spec.patch_size, spec.channels
@@ -32,7 +34,7 @@ def einsum_reference(spec, X, y, X_test, cfg):
     Xp_test = X_test.reshape(len(X_test), Nw, S)
     means, traces = [], []
     for seed in cfg.seeds:
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        rng = stream(seed, "langevin")
         W = rng.standard_normal((C, S))
         a = rng.standard_normal((Nw, C))
         f_sum, trace = 0.0, []
@@ -87,6 +89,19 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             empirical.make_synthetic("bad", 4, 10, 2)
 
+    def test_points_bitwise_stable(self):
+        # points and weights of these draws, hashed before the draws moved to rng.stream
+        h = hashlib.sha256()
+        for kind, d, n, seed, scale in [
+            ("gaussian_iid", 5, 40, 3, 1.0),
+            ("hypersphere_uniform", 7, 33, 2**64 - 1, 2.0),
+            ("gaussian_iid", 10, 70, 11, np.sqrt(10)),
+        ]:
+            m = empirical.make_synthetic(kind, d, n, seed, scale=scale)
+            h.update(m.points.tobytes())
+            h.update(m.weights.tobytes())
+        assert h.hexdigest() == "7956217a934d75d02c02e7979a287344c7d9ff69283d7a06f5c9326d9bbe6e87"
+
 
 class TestTarget:
     def test_linear(self):
@@ -139,6 +154,11 @@ class TestTrainingConfig:
             TrainingConfig(step_size=0.1, temperature=0.1, steps=10, burn_in=2, thin=0)
         with pytest.raises(ValueError):
             TrainingConfig(step_size=-0.1, temperature=0.1, steps=10, burn_in=2)
+
+    def test_duplicate_seeds_rejected(self):
+        # two chains with one seed are one chain counted twice in the between-chain spread
+        with pytest.raises(ValueError):
+            TrainingConfig(step_size=0.1, temperature=0.1, steps=10, burn_in=2, seeds=(3, 1, 3))
 
 
 class TestLangevin:
