@@ -240,15 +240,13 @@ def _load_data(cfg: dict, seed: int, test_n: int = 0):
     """
     n = cfg["data.n"]
     if cfg.get("data.file"):
-        M = textio.read_matrix(cfg["data.file"], header=False)
-        with open(cfg["data.file"]) as fh:
-            header = fh.readline().strip().split(",")
-        body = M if not any(not _is_float(h) for h in header) else None
-        if body is None:  # first line was a header
-            names = header
-            body = textio.read_matrix(cfg["data.file"], header=True)
-        else:
-            names = [f"c{i}" for i in range(M.shape[1])]
+        try:
+            names, body = textio.read_table(cfg["data.file"])
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"data file {cfg['data.file']!r}: {e}") from None
+        if body.ndim != 2 or body.size == 0:
+            raise ConfigError(f"data file {cfg['data.file']!r} has no data rows")
+        names = names or [f"c{i}" for i in range(body.shape[1])]
         y = None
         if cfg.get("data.label_column"):
             col = cfg["data.label_column"]
@@ -266,14 +264,6 @@ def _load_data(cfg: dict, seed: int, test_n: int = 0):
 
 def _synthetic(cfg: dict, d: int, n: int, seed: int) -> np.ndarray:
     return empirical.make_synthetic(cfg["data.kind"], d, n, seed, scale=cfg["data.scale"]).points
-
-
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 def _unit_teacher(d: int, seed: int) -> np.ndarray:
@@ -307,6 +297,11 @@ def _p_sweep(cfg: dict) -> np.ndarray:
     return ps[ps > 0]
 
 
+def _columns(rows: list, width: int) -> list[np.ndarray]:
+    """The columns of a short table built a row at a time; numpy picks each column's dtype."""
+    return [np.array(col) for col in zip(*rows)] if rows else [np.array([])] * width
+
+
 def _loglog_slope(P: np.ndarray, L: np.ndarray) -> float:
     return float(np.polyfit(np.log(P), np.log(L), 1)[0])
 
@@ -318,21 +313,19 @@ def _cmd_kernel(cfg, seed):
     meas, _, _ = _load_data(cfg, seed)
     spec = _net_spec(cfg, meas.points.shape[1])
     K = _kernel(cfg, spec, meas.points)
-    rows = [list(r) for r in K.entries]
     header = [f"k{j}" for j in range(K.n)]
-    return header, rows, {"n": K.n, "trace": float(np.trace(K.entries))}
+    return header, K.entries.T, {"n": K.n, "trace": float(np.trace(K.entries))}
 
 
 def _cmd_spectrum(cfg, seed):
     meas, _, _ = _load_data(cfg, seed)
     spec = _net_spec(cfg, meas.points.shape[1])
     K = _kernel(cfg, spec, meas.points)
-    dec = spectral.eigendecompose(K, meas)
-    rows = [[k + 1, lam] for k, lam in enumerate(dec.eigenvalues)]
-    return ["k", "lambda"], rows, {
-        "trace": spectral.spectral_budget(dec),
-        "clipped": dec.clipped,
-        "lambda_top": float(dec.eigenvalues[0]),
+    lam, clipped = spectral.eigenvalues(K, meas)
+    return ["k", "lambda"], [np.arange(1, lam.size + 1), lam], {
+        "trace": float(np.sum(lam)),
+        "clipped": clipped,
+        "lambda_top": float(lam[0]),
     }
 
 
@@ -351,7 +344,6 @@ def _cmd_gpr(cfg, seed):
     Kfull = _kernel(cfg, spec, both).entries
     P = X.shape[0]
     post = gpr.gpr_predict(Kfull[:P, :P], Kfull[P:, :P], np.diag(Kfull)[P:], y, cfg["gpr.kappa2"])
-    rows = [[i, m, v] for i, (m, v) in enumerate(zip(post.mean, post.variance))]
     summary = {
         "train_rmse": float(np.sqrt(np.mean(post.train_residuals**2))),
         "jitter": post.jitter,
@@ -359,7 +351,8 @@ def _cmd_gpr(cfg, seed):
     if w is not None:
         y_test = empirical.make_target(cfg["target.kind"], test, w, cubic_coeff=cfg["target.cubic_coeff"])
         summary["test_mse"] = float(np.mean((post.mean - y_test) ** 2))
-    return ["point_index", "mean", "variance"], rows, summary
+    columns = [np.arange(post.mean.size), post.mean, post.variance]
+    return ["point_index", "mean", "variance"], columns, summary
 
 
 def _cmd_curve(cfg, seed):
@@ -375,16 +368,16 @@ def _cmd_curve(cfg, seed):
         else:
             pred = curves.learning_curve(lam, y_k, int(P), cfg["curve.kappa2"])
             rows.append([int(P), pred.kappa_eff2, pred.D, pred.bias, pred.variance, pred.total])
-    arr = np.array(rows)
-    slope = _loglog_slope(arr[:, 0], arr[:, 5])
-    return ["P", "kappa_eff2", "D", "bias", "variance", "loss"], rows, {"loglog_slope": slope}
+    header = ["P", "kappa_eff2", "D", "bias", "variance", "loss"]
+    columns = _columns(rows, len(header))
+    return header, columns, {"loglog_slope": _loglog_slope(columns[0], columns[5])}
 
 
 def _cmd_rg(cfg, seed):
     lam, y_k = _spectrum_and_target(cfg)
     flow = curves.rg_flow(lam, y_k, cfg["rg.P"], cfg["rg.kappa2"], cfg["rg.epsilon"])
-    rows = [[m, r] for m, r in flow.trajectory]
-    return ["modes_remaining", "ridge"], rows, {
+    modes, ridge = flow.trajectory.T
+    return ["modes_remaining", "ridge"], [modes.astype(np.int64), ridge], {
         "kappa_rg2": flow.kappa_rg2,
         "cutoff_index": flow.cutoff_index,
         "absorbed_target": flow.absorbed_target,
@@ -414,7 +407,8 @@ def _cmd_scalinglaw(cfg, seed):
             fitted = -_loglog_slope(ps, np.array(losses))
             predicted = curves.scaling_exponent(alpha, regime)
             rows.append([alpha, regime, predicted, fitted, abs(fitted - predicted)])
-    return ["alpha", "regime", "predicted_exponent", "fitted_slope", "abs_error"], rows, {}
+    header = ["alpha", "regime", "predicted_exponent", "fitted_slope", "abs_error"]
+    return header, _columns(rows, len(header)), {}
 
 
 def _cmd_featscale(cfg, seed):
@@ -431,7 +425,8 @@ def _cmd_featscale(cfg, seed):
         lam_s = lam / sol.Q
         pred = curves.learning_curve(lam_s, y_k, int(P), cfg["featscale.kappa2"])
         rows.append([int(P), sol.C_MF, sol.Q, sol.kappa_eff2, sol.D, pred.total])
-    return ["P", "C_MF", "Q", "kappa_eff2", "D", "loss"], rows, {}
+    header = ["P", "C_MF", "Q", "kappa_eff2", "D", "loss"]
+    return header, _columns(rows, len(header)), {}
 
 
 def _cmd_adapt(cfg, seed):
@@ -449,7 +444,8 @@ def _cmd_adapt(cfg, seed):
         sol = solver(S, Nw, C, chi, int(P), kappa_eff2)
         learn = feature.predicted_learnability(sol, int(P), kappa_eff2)
         rows.append([int(P), sol.c_star, sol.c_perp, sol.lambda_star, learn, sol.residual])
-    return ["P", "c_star", "c_perp", "lambda_star", "learnability", "residual"], rows, {}
+    header = ["P", "c_star", "c_perp", "lambda_star", "learnability", "residual"]
+    return header, _columns(rows, len(header)), {}
 
 
 def _cmd_dynamics(cfg, seed):
@@ -476,9 +472,8 @@ def _cmd_dynamics(cfg, seed):
     Theta0 = dynamics.msrdj_theta0(Phi, dPhi, Kx, sa2, chi)
     K_gp = sa2 * Phi.lag_values[0]
     report = dynamics.limit_checks(traj, grid, Theta0, K_gp, y, kappa2, eta)
-    rows = [[t, *f] for t, f in zip(grid.times, traj)]
     header = ["t"] + [f"f_{i + 1}" for i in range(y.size)]
-    return header, rows, {
+    return header, [grid.times, *traj.T], {
         "ntk_window_end": report.ntk_window_end,
         "ntk_max_rel_dev": report.ntk_max_rel_dev,
         "gpr_final_rel_dev": report.gpr_final_rel_dev,
@@ -508,9 +503,9 @@ def _train_stats(cfg, seed):
 
 def _cmd_train(cfg, seed):
     spec, X, y, test, w, stats, tc = _train_stats(cfg, seed)
-    rows = [[i, m, v] for i, (m, v) in enumerate(zip(stats.mean, stats.variance))]
     y_test = empirical.make_target(cfg["target.kind"], test, w)
-    return ["point_index", "mean", "variance"], rows, {
+    columns = [np.arange(stats.mean.size), stats.mean, stats.variance]
+    return ["point_index", "mean", "variance"], columns, {
         "equilibrated": stats.equilibrated,
         "split_half_gap": stats.split_half_gap,
         "step_size": tc.step_size,
@@ -552,12 +547,9 @@ def _cmd_compare(cfg, seed):
         rows.append(
             ["type_ii_variance", th_ii, mc.type_ii_variance, dev_ii, 1.5 * tol, dev_ii < 1.5 * tol]
         )
-    ok = all(r[-1] for r in rows)
-    return (
-        ["quantity", "theory", "oracle", "deviation", "tolerance", "pass"],
-        rows,
-        {"all_passed": ok},
-    )
+    header = ["quantity", "theory", "oracle", "deviation", "tolerance", "pass"]
+    columns = _columns(rows, len(header))
+    return header, columns, {"all_passed": bool(columns[-1].all())}
 
 
 _HANDLERS = {
@@ -576,9 +568,9 @@ _HANDLERS = {
 
 
 def run(command: str, cfg: dict, out_dir: str, seed: int) -> int:
-    header, rows, summary = _HANDLERS[command](cfg, seed)
+    header, columns, summary = _HANDLERS[command](cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
-    textio.write_csv(os.path.join(out_dir, "results.csv"), header, rows)
+    textio.write_csv(os.path.join(out_dir, "results.csv"), header, columns)
     textio.write_kv(os.path.join(out_dir, "summary.kv"), summary)
     manifest = {"command": command, "seed": seed, "version": __version__}
     manifest.update({k: cfg[k] for k in sorted(cfg)})

@@ -59,7 +59,7 @@ class LearningCurvePrediction:
 class RGFlowResult:
     kappa_rg2: float
     cutoff_index: int  # number of modes kept (indices 0..cutoff-1 survive)
-    trajectory: list  # (modes remaining, ridge) pairs, tail inward
+    trajectory: np.ndarray  # (m - cutoff + 1, 2) rows of (modes remaining, ridge), tail inward
     epsilon: float
     absorbed_target: float  # sum of y_k^2 over integrated-out modes
 
@@ -270,11 +270,10 @@ def rg_flow(lam, y_k, P: int, kappa2: float, epsilon: float = 0.01) -> RGFlowRes
     cutoff = int(unlearnable[0]) if unlearnable.size else m
     absorbed = float(np.sum(y_k[cutoff:] ** 2))
     ridge = float(kappa2 + np.sum(lam[cutoff:]))
-    trajectory = [(m, float(kappa2))]
-    running = float(kappa2)
-    for idx in range(m - 1, cutoff - 1, -1):
-        running += lam[idx]
-        trajectory.append((idx, running))
+    # row 0 is (m, kappa2); row i adds lam[m - i] to the ridge, tail inward,
+    # in the same order a running sum would
+    ridges = np.cumsum(np.concatenate(([kappa2], lam[cutoff:][::-1])))
+    trajectory = np.column_stack((np.arange(m, cutoff - 1, -1, dtype=float), ridges))
     # exact identity by construction: ridge = kappa2 + tail sum
     return RGFlowResult(
         kappa_rg2=ridge,

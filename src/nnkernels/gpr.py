@@ -36,12 +36,20 @@ class SingularKernelError(np.linalg.LinAlgError):
         self.rank = rank
 
 
+def _plus_diagonal(A: np.ndarray, c: float) -> np.ndarray:
+    """A copy of A with c added to its diagonal (A + c I without building I)."""
+    A = A.copy()
+    A.flat[:: A.shape[0] + 1] += c
+    return A
+
+
 def _solve_psd(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve A X = B for symmetric PSD A via Cholesky with jitter escalation."""
     scale = max(float(np.trace(A)) / max(A.shape[0], 1), 1e-300)
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
         try:
-            c, low = scipy.linalg.cho_factor(A + jitter * scale * np.eye(A.shape[0]), lower=True)
+            M = A if jitter == 0.0 else _plus_diagonal(A, jitter * scale)
+            c, low = scipy.linalg.cho_factor(M, lower=True)
             return scipy.linalg.cho_solve((c, low), B), jitter * scale
         except np.linalg.LinAlgError:
             continue
@@ -71,7 +79,7 @@ def gpr_predict(K_D, k_star, K_star_diag, y, kappa2: float) -> GPRPosterior:
             train_residuals=np.zeros(0),
         )
 
-    A = K_D + kappa2 * np.eye(P)
+    A = _plus_diagonal(K_D, kappa2)
     rank = None
     if kappa2 == 0.0:
         lam = np.linalg.eigvalsh(K_D)

@@ -66,21 +66,38 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def eigendecompose(K, measure: DataMeasure) -> SpectralDecomposition:
-    """Solve sum_nu w_nu K(x_mu, x_nu) phi_k(x_nu) = lambda_k phi_k(x_mu)."""
+def _weighted(K, measure: DataMeasure):
+    """K as an array, the support mask, sqrt of its weights, and W^{1/2} K W^{1/2} on it."""
     K = _as_matrix(K)
-    n = K.shape[0]
-    if n != measure.n:
+    if K.shape[0] != measure.n:
         raise ValueError("kernel and measure point counts differ")
     w = measure.weights
     support = w > 0
     sqw = np.sqrt(w[support])
-    A = K[np.ix_(support, support)] * np.outer(sqw, sqw)
+    return K, support, sqw, K[np.ix_(support, support)] * np.outer(sqw, sqw)
+
+
+def _clip(lam: np.ndarray) -> tuple[np.ndarray, float]:
+    """Eigenvalues clipped at 0, and the most negative one clipped away (0 if none)."""
+    return np.clip(lam, 0.0, None), float(min(lam.min(initial=0.0), 0.0))
+
+
+def eigenvalues(K, measure: DataMeasure) -> tuple[np.ndarray, float]:
+    """The eigenvalues of ``eigendecompose`` (descending, clipped at 0) and ``clipped``,
+    from an eigenvalue-only solve."""
+    _, _, _, A = _weighted(K, measure)
+    return _clip(np.linalg.eigvalsh(A)[::-1])
+
+
+def eigendecompose(K, measure: DataMeasure) -> SpectralDecomposition:
+    """Solve sum_nu w_nu K(x_mu, x_nu) phi_k(x_nu) = lambda_k phi_k(x_mu)."""
+    K, support, sqw, A = _weighted(K, measure)
+    w = measure.weights
+    n = K.shape[0]
     lam, V = np.linalg.eigh(A)
     order = np.argsort(lam, kind="stable")[::-1]
-    lam, V = lam[order], V[:, order]
-    clipped = float(min(lam.min(initial=0.0), 0.0))
-    lam = np.clip(lam, 0.0, None)
+    lam, clipped = _clip(lam[order])
+    V = V[:, order]
 
     phi_s = V / sqw[:, None]
     # extend eigenfunctions to zero-weight points through the eigenvalue
@@ -95,11 +112,11 @@ def eigendecompose(K, measure: DataMeasure) -> SpectralDecomposition:
         Phi[~support] = ext
 
     # deterministic sign: first component above threshold made positive
-    for k in range(Phi.shape[1]):
-        col = Phi[:, k]
-        big = np.flatnonzero(np.abs(col) > 1e-8 * max(np.max(np.abs(col)), 1e-300))
-        if big.size and col[big[0]] < 0:
-            Phi[:, k] = -col
+    mag = np.abs(Phi)
+    big = mag > 1e-8 * np.maximum(mag.max(axis=0, initial=0.0), 1e-300)
+    first = Phi[big.argmax(axis=0), np.arange(lam.size)]
+    flip = big.any(axis=0) & (first < 0)
+    Phi[:, flip] = -Phi[:, flip]
     return SpectralDecomposition(lam, Phi, clipped=clipped)
 
 

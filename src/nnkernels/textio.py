@@ -42,25 +42,60 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _column_text(col) -> list[str]:
+    """One column's values as text, by dtype; the same strings ``_fmt`` gives."""
+    col = np.asarray(col)
+    values = col.tolist()
+    if col.dtype.kind == "b":
+        return ["true" if v else "false" for v in values]
+    if col.dtype.kind in "iu":
+        return list(map(str, values))
+    if col.dtype.kind == "f":
+        return list(map(float.__repr__, values))
+    return list(map(str, values))
+
+
+def _table_text(columns) -> list[str]:
+    """The lines of a table given by its columns, which must all be as long."""
+    formatted = [_column_text(c) for c in columns]
+    if len({len(c) for c in formatted}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in formatted]}")
+    return list(map(",".join, zip(*formatted)))
+
+
+def write_csv(path: str, header, columns) -> None:
+    """A header line, then one line per row of ``columns`` (one array per header name)."""
+    header, columns = list(header), list(columns)
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    atomic_write_text(path, "\n".join([",".join(header), *_table_text(columns)]) + "\n")
 
 
 def write_matrix(path: str, A: np.ndarray) -> None:
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    lines = [",".join(_fmt(v) for v in row) for row in A]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(_table_text(A.T)) + "\n")
 
 
-def read_matrix(path: str, header: bool = False) -> np.ndarray:
+def read_table(path: str) -> tuple[list[str] | None, np.ndarray]:
+    """A numeric CSV as (header, body); the header is None when the first line is numeric."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if header:
-        lines = lines[1:]
-    return np.array([[float(v) for v in ln.split(",")] for ln in lines])
+        rows = [ln.strip().split(",") for ln in fh if ln.strip()]
+    header = None
+    if rows and not all(map(_is_float, rows[0])):
+        header, rows = [h.strip() for h in rows[0]], rows[1:]
+    return header, np.array([[float(v) for v in r] for r in rows])
+
+
+def read_matrix(path: str) -> np.ndarray:
+    return read_table(path)[1]
+
+
+def _is_float(s: str) -> bool:
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return False
 
 
 def write_kv(path: str, mapping: dict) -> None:

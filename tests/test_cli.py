@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from nnkernels import cli, empirical, feature, rng, textio
+from nnkernels import cli, empirical, feature, gpr, kernels, rng, textio
 
 
 def run_cli(tmp_path, *args):
@@ -328,6 +328,123 @@ class TestCompare:
         assert code == 1
         summary = textio.read_kv(out / "summary.kv")
         assert summary["all_passed"] == "false"
+
+
+class TestDataFile:
+    def write_points(self, path, header=None):
+        X = np.random.default_rng(21).standard_normal((12, 3))
+        lines = [] if header is None else [header]
+        lines += [",".join(repr(float(v)) for v in row) for row in X]
+        path.write_text("\n".join(lines) + "\n")
+        return X
+
+    def test_kernel_on_file_with_header(self, tmp_path):
+        X = self.write_points(tmp_path / "labelled.csv", header="a,b,y")
+        plain = tmp_path / "plain.csv"
+        plain.write_text("".join(f"{a!r},{b!r}\n" for a, b in X[:, :2].tolist()))
+        common = ["--override", "data.d=2", "--override", "data.n=12"]
+        code, out = run_cli(
+            tmp_path / "h", "kernel", *common,
+            "--override", f"data.file={tmp_path / 'labelled.csv'}", "--override", "data.label_column=y",
+        )
+        assert code == 0
+        code_plain, out_plain = run_cli(tmp_path / "p", "kernel", *common, "--override", f"data.file={plain}")
+        assert code_plain == 0
+        for name in ("results.csv", "summary.kv"):
+            assert (out / name).read_bytes() == (out_plain / name).read_bytes()
+
+    def test_gpr_reads_label_column(self, tmp_path):
+        path = tmp_path / "labelled.csv"
+        X = self.write_points(path, header="a,y,b")
+        code, out = run_cli(
+            tmp_path, "gpr", "--override", f"data.file={path}", "--override", "data.label_column=y",
+            "--override", "data.d=2", "--override", "data.n=12", "--override", "gpr.kappa2=0.1",
+            "--override", "test.n=4",
+        )
+        assert code == 0
+        summary = textio.read_kv(out / "summary.kv")
+        assert "test_mse" not in summary  # the labels came from the file, not a teacher
+        Xtr, y = X[:, [0, 2]], X[:, 1]
+        test = cli._synthetic(cli._resolve("gpr", {"data.d": "2", "data.n": "12", "gpr.kappa2": "0.1"}), 2, 16, 0)[12:]
+        spec = kernels.NetworkSpec(depth=2, input_dim=2, activation="erf")
+        K = kernels.nngp_kernel(spec, np.vstack([Xtr, test])).entries
+        post = gpr.gpr_predict(K[:12, :12], K[12:, :12], np.diag(K)[12:], y, 0.1)
+        table = np.loadtxt(out / "results.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 1], post.mean)
+        assert np.array_equal(table[:, 2], post.variance)
+
+    @pytest.mark.parametrize("text", [None, "", "a,b,y\n", "1,2\n3\n", "1,2\n3,x\n"])
+    def test_unreadable_file_exit_2(self, tmp_path, text):
+        path = tmp_path / "points.csv"
+        if text is not None:
+            path.write_text(text)
+        code, _ = run_cli(
+            tmp_path, "kernel", "--override", f"data.file={path}", "--override", "data.d=2",
+            "--override", "data.n=2",
+        )
+        assert code == 2
+
+    def test_missing_label_column_exit_2(self, tmp_path):
+        path = tmp_path / "labelled.csv"
+        self.write_points(path, header="a,b,y")
+        code, _ = run_cli(
+            tmp_path, "kernel", "--override", f"data.file={path}", "--override", "data.label_column=z",
+            "--override", "data.d=2", "--override", "data.n=12",
+        )
+        assert code == 2
+
+
+def fmt_reference(v) -> str:
+    """The per-value rule results.csv has always used."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+class TestWriteCSV:
+    def test_bytes_match_per_value_rule(self, tmp_path):
+        floats = np.array([-0.0, 5e-324, 1e22, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, -2.5e-300])
+        n = floats.size
+        columns = [
+            np.arange(-4, n - 4, dtype=np.int64),
+            floats,
+            np.array([True, False] * 4 + [True]),
+            np.array(["ek", "ridgeless", "a b", "x", "y", "z", "", "long_name", "q"]),
+            np.linspace(0.0, 1.0, n, dtype=np.float32),
+            np.arange(n, dtype=np.uint32),
+        ]
+        header = ["i", "f", "b", "s", "f32", "u"]
+        path = tmp_path / "r.csv"
+        textio.write_csv(path, header, columns)
+        rows = [",".join(fmt_reference(v) for v in row) for row in zip(*columns)]
+        assert path.read_bytes() == ("\n".join([",".join(header), *rows]) + "\n").encode()
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "r.csv"
+        textio.write_csv(path, ["a", "b"], [np.zeros(0), np.zeros(0, dtype=int)])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_rejects_header_column_mismatch(self, tmp_path):
+        with pytest.raises(ValueError):
+            textio.write_csv(tmp_path / "r.csv", ["a", "b"], [np.zeros(3)])
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            textio.write_csv(tmp_path / "r.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_matrix_bytes_match_per_value_rule(self, tmp_path):
+        M = np.random.default_rng(1).standard_normal((4, 3))
+        M[0, 0] = -0.0
+        path = tmp_path / "m.txt"
+        textio.write_matrix(path, M)
+        expected = "".join(",".join(fmt_reference(v) for v in row) + "\n" for row in M)
+        assert path.read_text() == expected
 
 
 class TestTextIO:

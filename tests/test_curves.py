@@ -229,6 +229,22 @@ class TestRG:
         ridges = [r for _, r in flow.trajectory]
         assert all(b >= a for a, b in zip(ridges, ridges[1:]))
 
+    def test_trajectory_matches_running_sum(self):
+        # reference: the running sum the trajectory replaces, one mode at a time
+        lam = spectral.powerlaw_spectrum(1.0, 1.0, 20_000)
+        kappa2 = 1e-4
+        flow = curves.rg_flow(lam, aligned_target(lam), 64, kappa2, 0.01)
+        m, cutoff = lam.size, flow.cutoff_index
+        assert 0 < cutoff < m
+        rows = [(m, float(kappa2))]
+        running = float(kappa2)
+        for idx in range(m - 1, cutoff - 1, -1):
+            running += lam[idx]
+            rows.append((idx, running))
+        assert flow.trajectory.shape == (m - cutoff + 1, 2)
+        assert np.array_equal(flow.trajectory, np.array(rows))
+        assert flow.trajectory[-1, 1] == pytest.approx(flow.kappa_rg2, rel=1e-12)
+
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
             curves.rg_flow(np.ones(3), np.ones(3), 5, 0.0, 1.5)

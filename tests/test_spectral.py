@@ -78,6 +78,40 @@ class TestEigendecompose:
         assert dec.clipped < 0
         assert np.all(dec.eigenvalues >= 0)
 
+    def test_sign_rule(self):
+        # first component above 1e-8 of the column's largest is positive
+        K = random_psd(30, 5)
+        w = np.random.default_rng(5).uniform(size=30)
+        w[[2, 11, 17]] = 0.0
+        dec = spectral.eigendecompose(K, DataMeasure(np.zeros((30, 1)), w / w.sum()))
+        for col in dec.eigenfunctions.T:
+            big = np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))
+            assert col[big[0]] > 0
+
+
+class TestEigenvalues:
+    @pytest.mark.parametrize("zero_weights", [False, True])
+    def test_match_eigendecompose(self, zero_weights):
+        n = 40
+        K = random_psd(n, 6)
+        K[:, 0] = K[0, :] = 0.0  # a null direction: rounding gives a clipped eigenvalue
+        w = np.random.default_rng(6).uniform(size=n)
+        if zero_weights:
+            w[[1, 7, 8, 30]] = 0.0
+        meas = DataMeasure(np.zeros((n, 1)), w / w.sum())
+        dec = spectral.eigendecompose(K, meas)
+        lam, clipped = spectral.eigenvalues(K, meas)
+        assert lam.shape == dec.eigenvalues.shape
+        assert np.all(np.diff(lam) <= 0) and np.all(lam >= 0)
+        assert np.max(np.abs(lam - dec.eigenvalues)) <= 1e-14 * lam[0]
+        assert abs(clipped - dec.clipped) <= 1e-14 * lam[0]
+
+    def test_negative_clip_recorded(self):
+        K = np.array([[1.0, 0.0], [0.0, -1e-8]])
+        lam, clipped = spectral.eigenvalues(K, DataMeasure.uniform(np.zeros((2, 1))))
+        assert clipped == pytest.approx(-0.5e-8, rel=1e-12)
+        assert lam[0] == pytest.approx(0.5, rel=1e-14) and lam[1] == 0.0
+
     def test_hypersphere_linear_degenerate_modes(self):
         # uniform sphere data, linear kernel: d near-degenerate eigenvalues
         # at 1/d^2 * d = ... operator eigenvalues ~ 1/(d*d) * d = 1/d... the
