@@ -246,7 +246,10 @@ def _load_data(cfg: dict, seed: int, test_n: int = 0):
             raise ConfigError(f"data file {cfg['data.file']!r}: {e}") from None
         if body.ndim != 2 or body.size == 0:
             raise ConfigError(f"data file {cfg['data.file']!r} has no data rows")
-        names = names or [f"c{i}" for i in range(body.shape[1])]
+        if names is None:
+            names = [f"c{i}" for i in range(body.shape[1])]
+        elif len(names) != body.shape[1]:
+            raise ConfigError(f"data file header has {len(names)} names for {body.shape[1]} columns")
         y = None
         if cfg.get("data.label_column"):
             col = cfg["data.label_column"]

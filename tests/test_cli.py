@@ -373,7 +373,7 @@ class TestDataFile:
         assert np.array_equal(table[:, 1], post.mean)
         assert np.array_equal(table[:, 2], post.variance)
 
-    @pytest.mark.parametrize("text", [None, "", "a,b,y\n", "1,2\n3\n", "1,2\n3,x\n"])
+    @pytest.mark.parametrize("text", [None, "", "a,b,y\n", "1,2\n3\n", "1,2\n3,x\n", "a,b\n1,2,3\n"])
     def test_unreadable_file_exit_2(self, tmp_path, text):
         path = tmp_path / "points.csv"
         if text is not None:
