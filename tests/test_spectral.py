@@ -88,30 +88,6 @@ class TestEigendecompose:
             big = np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))
             assert col[big[0]] > 0
 
-
-class TestEigenvalues:
-    @pytest.mark.parametrize("zero_weights", [False, True])
-    def test_match_eigendecompose(self, zero_weights):
-        n = 40
-        K = random_psd(n, 6)
-        K[:, 0] = K[0, :] = 0.0  # a null direction: rounding gives a clipped eigenvalue
-        w = np.random.default_rng(6).uniform(size=n)
-        if zero_weights:
-            w[[1, 7, 8, 30]] = 0.0
-        meas = DataMeasure(np.zeros((n, 1)), w / w.sum())
-        dec = spectral.eigendecompose(K, meas)
-        lam, clipped = spectral.eigenvalues(K, meas)
-        assert lam.shape == dec.eigenvalues.shape
-        assert np.all(np.diff(lam) <= 0) and np.all(lam >= 0)
-        assert np.max(np.abs(lam - dec.eigenvalues)) <= 1e-14 * lam[0]
-        assert abs(clipped - dec.clipped) <= 1e-14 * lam[0]
-
-    def test_negative_clip_recorded(self):
-        K = np.array([[1.0, 0.0], [0.0, -1e-8]])
-        lam, clipped = spectral.eigenvalues(K, DataMeasure.uniform(np.zeros((2, 1))))
-        assert clipped == pytest.approx(-0.5e-8, rel=1e-12)
-        assert lam[0] == pytest.approx(0.5, rel=1e-14) and lam[1] == 0.0
-
     def test_hypersphere_linear_degenerate_modes(self):
         # uniform sphere data, linear kernel: d near-degenerate eigenvalues
         # at 1/d^2 * d = ... operator eigenvalues ~ 1/(d*d) * d = 1/d... the
@@ -136,6 +112,30 @@ class TestEigenvalues:
         lam = dec.eigenvalues
         # level-1 block: the d eigenvalues after the constant mode
         assert d * np.max(lam[1 : 1 + d]) <= trace * 1.1
+
+
+class TestEigenvalues:
+    @pytest.mark.parametrize("zero_weights", [False, True])
+    def test_match_eigendecompose(self, zero_weights):
+        n = 40
+        K = random_psd(n, 6)
+        K[:, 0] = K[0, :] = 0.0  # a null direction: rounding gives a clipped eigenvalue
+        w = np.random.default_rng(6).uniform(size=n)
+        if zero_weights:
+            w[[1, 7, 8, 30]] = 0.0
+        meas = DataMeasure(np.zeros((n, 1)), w / w.sum())
+        dec = spectral.eigendecompose(K, meas)
+        lam, clipped = spectral.eigenvalues(K, meas)
+        assert lam.shape == dec.eigenvalues.shape
+        assert np.all(np.diff(lam) <= 0) and np.all(lam >= 0)
+        assert np.max(np.abs(lam - dec.eigenvalues)) <= 1e-14 * lam[0]
+        assert abs(clipped - dec.clipped) <= 1e-14 * lam[0]
+
+    def test_negative_clip_recorded(self):
+        K = np.array([[1.0, 0.0], [0.0, -1e-8]])
+        lam, clipped = spectral.eigenvalues(K, DataMeasure.uniform(np.zeros((2, 1))))
+        assert clipped == pytest.approx(-0.5e-8, rel=1e-12)
+        assert lam[0] == pytest.approx(0.5, rel=1e-14) and lam[1] == 0.0
 
 
 class TestTargetsAndNorms:
