@@ -6,18 +6,24 @@ filter (the Equivalent Kernel).  At finite P the bare ridge ``kappa2`` is
 replaced by a self-consistent effective ridge, and dataset-to-dataset
 fluctuations of the mean predictor are captured by a single amplitude D.
 
-Per mode, with v_k = (P/kappa_eff^2 + 1/lambda_k)^{-1}:
+Everything follows from one per-mode filter, the learnability
 
-    learnability_k = lambda_k / (lambda_k + kappa_eff^2 / P)
-    <f_k>          = learnability_k * y_k
-    Cov_same-draw  = v_k + v_k^2 * (P/kappa_eff^4) * D
-    Cov_cross-draw =       v_k^2 * (P/kappa_eff^4) * D
+    l_k = lambda_k / (lambda_k + kappa_eff^2 / P),
 
-D solves a linear equation whose source is the squared *discrepancy* of
-the averaged predictor, sum_k ((kappa_eff^2/P) / (lambda_k +
-kappa_eff^2/P) * y_k)^2.  (The published display of this equation carries
-the low-pass filter in the source; the self-consistency that defines D —
-and the Monte-Carlo oracle — require the high-pass discrepancy filter
+with the mean predictor <f_k> = l_k y_k.  Per mode, with
+v_k = (kappa_eff^2/P) l_k,
+
+    Cov_same-draw  = v_k + l_k^2 D / P
+    Cov_cross-draw =       l_k^2 D / P
+
+and D solves
+
+    (1 - sum_k l_k^2 / P) D = sum_k ((1 - l_k) y_k)^2,
+
+whose source is the bias, the squared *discrepancy* of the averaged
+predictor.  (The published display of this equation carries the low-pass
+filter l_k in the source; the self-consistency that defines D — and the
+Monte-Carlo oracle — require the high-pass discrepancy filter 1 - l_k
 used here.)
 """
 
@@ -49,6 +55,7 @@ class LearningCurvePrediction:
     variance_per_mode: np.ndarray
     bias: float
     variance: float
+    type_ii_variance: float = 0.0  # sum_k l_k^2 D / P; 0 for plain EK
 
     @property
     def total(self) -> float:
@@ -78,9 +85,10 @@ def truncate_spectrum(lam: np.ndarray, y: np.ndarray | None = None):
 def ek_predict(lam, y_k, P: int, kappa2: float) -> LearningCurvePrediction:
     """Equivalent-Kernel prediction at ridge ``kappa2`` (no self-consistency).
 
-    f_k = lambda_k/(lambda_k + kappa2/P) y_k;
-    V = (kappa2/P) sum_k lambda_k/(lambda_k + kappa2/P);
-    B = sum_k (kappa2/P)^2/(lambda_k + kappa2/P)^2 y_k^2.
+    f_k = l_k y_k with l_k = lambda_k/(lambda_k + kappa2/P);
+    V = sum_k v_k, v_k = (kappa2/P) l_k;
+    B = sum_k ((1 - l_k) y_k)^2.
+    Null modes get l_k = 0, hence v_k = 0.
     """
     if P <= 0:
         raise ValueError("P must be positive")
@@ -90,21 +98,17 @@ def ek_predict(lam, y_k, P: int, kappa2: float) -> LearningCurvePrediction:
         )
     lam = np.asarray(lam, dtype=float)
     y_k = np.asarray(y_k, dtype=float)
-    kp = kappa2 / P
-    learn = lam / (lam + kp)
-    mean_mode = learn * y_k
-    v = _mode_variance(lam, P, kappa2)
-    bias = float(np.sum((kp / (lam + kp)) ** 2 * y_k**2))
-    variance = float(np.sum(v))
+    learn, _, bias = _filter(lam, y_k, P, kappa2)
+    v = (kappa2 / P) * learn
     return LearningCurvePrediction(
         P=P,
         kappa_eff2=kappa2,
         D=0.0,
         learnability=learn,
-        mean_mode=mean_mode,
+        mean_mode=learn * y_k,
         variance_per_mode=v,
         bias=bias,
-        variance=variance,
+        variance=float(np.sum(v)),
     )
 
 
@@ -175,52 +179,51 @@ def _ridge_residual(x, lam, P, kappa2, buf) -> float:
     return 1.0 - kappa2 / x - float(buf.sum()) / P
 
 
-def _mode_variance(lam: np.ndarray, P: int, kappa_eff2: float) -> np.ndarray:
-    """v_k = (P/kappa_eff^2 + 1/lambda_k)^{-1}, with v = 0 for null modes."""
-    with np.errstate(divide="ignore"):
-        return np.where(
-            lam > 0, 1.0 / (P / kappa_eff2 + 1.0 / np.where(lam > 0, lam, 1.0)), 0.0
-        )
+def _filter(lam: np.ndarray, y_k, P: int, kappa_eff2: float):
+    """(l_k, 1 - l_k, bias) at ridge kappa_eff^2.  1 - l_k is computed as
+    (kappa_eff^2/P)/(lambda_k + kappa_eff^2/P), to full relative precision
+    where l_k is near 1."""
+    kp = kappa_eff2 / P
+    den = lam + kp
+    miss = kp / den
+    return lam / den, miss, float(np.sum((miss * y_k) ** 2))
+
+
+def _amplitude(learn: np.ndarray, bias: float, P: int) -> float:
+    """D from (1 - sum_k l_k^2/P) D = bias.  The prefactor must come out
+    positive for a consistent spectrum/ridge pairing."""
+    prefactor = 1.0 - float(np.sum(learn**2)) / P
+    if prefactor <= 0:
+        raise ValueError(f"non-positive D prefactor {prefactor:.3e}: invalid spectrum/ridge pairing")
+    return bias / prefactor
 
 
 def solve_D(lam, y_k, P: int, kappa_eff2: float) -> float:
-    """Across-dataset variance amplitude of the mean predictor.
-
-    (1 - sum_k v_k^2 P/kappa_eff^4) D = sum_k ((kappa_eff^2/P)/(lambda_k
-    + kappa_eff^2/P) y_k)^2, with v_k = (P/kappa_eff^2 + 1/lambda_k)^{-1}.
-    The prefactor must come out positive for a consistent spectrum/ridge
-    pairing.
-    """
-    lam = np.asarray(lam, dtype=float)
-    y_k = np.asarray(y_k, dtype=float)
-    v = _mode_variance(lam, P, kappa_eff2)
-    prefactor = 1.0 - float(np.sum(v**2)) * P / kappa_eff2**2
-    if prefactor <= 0:
-        raise ValueError(f"non-positive D prefactor {prefactor:.3e}: invalid spectrum/ridge pairing")
-    kp = kappa_eff2 / P
-    source = float(np.sum((kp / (lam + kp)) ** 2 * y_k**2))
-    return source / prefactor
+    """Across-dataset variance amplitude of the mean predictor:
+    (1 - sum_k l_k^2/P) D = sum_k ((1 - l_k) y_k)^2 at ridge kappa_eff^2."""
+    learn, _, bias = _filter(np.asarray(lam, dtype=float), np.asarray(y_k, dtype=float), P, kappa_eff2)
+    return _amplitude(learn, bias, P)
 
 
 def mode_covariance(lam, P: int, kappa_eff2: float, D: float):
-    """(same-seed diagonal term, cross-dataset term) per mode."""
+    """(same-seed diagonal term v_k, cross-dataset term l_k^2 D/P) per mode."""
     lam = np.asarray(lam, dtype=float)
-    v = _mode_variance(lam, P, kappa_eff2)
-    cross = v**2 * (P / kappa_eff2**2) * D
-    return v, cross
+    learn = lam / (lam + kappa_eff2 / P)
+    return (kappa_eff2 / P) * learn, learn**2 * (D / P)
 
 
 def learning_curve(lam, y_k, P: int, kappa2: float) -> LearningCurvePrediction:
-    """Full effective-ridge prediction: EK at kappa_eff^2 plus D fluctuations."""
+    """Full effective-ridge prediction: EK at kappa_eff^2 plus D fluctuations,
+    v_k + l_k^2 D/P per mode."""
     lam, y_k = truncate_spectrum(lam, y_k)
     kappa_eff2 = effective_ridge_solve(lam, P, kappa2)
     if kappa_eff2 <= 0:
         raise ValueError("effective ridge collapsed to 0; spectrum fully learnable at this P")
     pred = ek_predict(lam, y_k, P, kappa_eff2)
-    D = solve_D(lam, y_k, P, kappa_eff2)
-    v, cross = mode_covariance(lam, P, kappa_eff2, D)
-    pred.D = D
-    pred.variance_per_mode = v + cross
+    pred.D = _amplitude(pred.learnability, pred.bias, P)
+    cross = pred.learnability**2 * (pred.D / P)
+    pred.type_ii_variance = float(np.sum(cross))
+    pred.variance_per_mode += cross
     pred.variance = float(np.sum(pred.variance_per_mode))
     return pred
 

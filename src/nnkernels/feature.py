@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import curves
 from .kernels import _as_matrix
@@ -33,6 +32,7 @@ class KernelScalingSolution:
     D: float
     converged: bool
     residual: float
+    loss: float = float("nan")  # learning-curve loss of lambda/Q at the root
     learnability: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
@@ -44,7 +44,6 @@ class AdaptationSolution:
     lambda_perp: float
     residual: float
     quadratic_root: float
-    all_roots: tuple = ()
     norm_check_ok: bool = True
 
     @property
@@ -62,17 +61,15 @@ class TransferPlan:
 
 
 def _scaling_rhs(lam, y_k, P, kappa2, Q, N):
-    """Target side of the C_MF consistency equation at kernel lambda/Q."""
+    """Target side of the C_MF consistency equation at kernel lambda/Q:
+    sum_k l_k [1 - (1 - l_k)(D + P y_k^2)/kappa_eff^2]."""
     lam_s = lam / Q
     kappa_eff2 = curves.effective_ridge_solve(lam_s, P, kappa2)
     if kappa_eff2 <= 0:
         raise ValueError("effective ridge collapsed during kernel scaling")
-    D = curves.solve_D(lam_s, y_k, P, kappa_eff2)
-    kp = kappa_eff2 / P
-    learn = lam_s / (lam_s + kp)
-    term_d = (P / kappa_eff2**2) * lam_s / (P * lam_s / kappa_eff2 + 1.0) ** 2 * D
-    term_y = y_k**2 * lam_s / (lam_s + kp) ** 2
-    rhs = float(np.sum(learn - term_d - term_y))
+    learn, miss, bias = curves._filter(lam_s, y_k, P, kappa_eff2)
+    D = curves._amplitude(learn, bias, P)
+    rhs = float(np.sum(learn * (1.0 - miss * (D + P * y_k**2) / kappa_eff2)))
     return rhs, kappa_eff2, D, learn
 
 
@@ -82,22 +79,25 @@ def _scaling_residual(u, lam, y_k, P, kappa2, N) -> float:
 
 
 def kernel_scaling_solve(lam, y_k, P: int, kappa2: float, N: float) -> KernelScalingSolution:
-    """Solve C_MF/(1 + C_MF/N) = sum_k [l_k - D-term_k - y-term_k] at lambda/Q.
+    """Solve C_MF/(1 + C_MF/N) = sum_k l_k [1 - (1 - l_k)(D + P y_k^2)/kappa_eff^2],
+    with l_k, kappa_eff^2 and D those of the kernel lambda/Q, Q = 1 + C_MF/N.
 
     With C_MF = N(Q - 1) the left side is N(1 - 1/Q), which runs from
     -inf to N over Q > 0, while the right side goes to 0 as Q -> inf; a
     bracket grown outward from Q = 1 by factors of 2 therefore holds a
     root, found by ``curves.bracket_root``.  The unknown is u = Q - 1 = C_MF/N,
-    which keeps C_MF to full precision when C_MF << N.  The effective
-    ridge and D of the scaled spectrum are re-solved at every trial Q.
-    ``residual`` is the relative residual of the C_MF equation at the
-    returned root, and ``converged`` means it is below 1e-8.  Raises
-    ``ValueError`` if no bracket is found within the growth cap.
+    which keeps C_MF to full precision when C_MF << N.  The spectrum is
+    truncated once, as ``curves.learning_curve`` truncates it, and the
+    effective ridge and D of the scaled spectrum are re-solved at every
+    trial Q.  ``loss`` is the learning-curve loss of lambda/Q at the root,
+    bias + variance = D + (kappa_eff^2/P) sum_k l_k.  ``residual`` is the
+    relative residual of the C_MF equation at the returned root, and
+    ``converged`` means it is below 1e-8.  Raises ``ValueError`` if no
+    bracket is found within the growth cap.
     """
     if N <= 0:
         raise ValueError("N must be positive")
-    lam = np.asarray(lam, dtype=float)
-    y_k = np.asarray(y_k, dtype=float)
+    lam, y_k = curves.truncate_spectrum(lam, y_k)
     args = (lam, y_k, P, kappa2, N)
     f0 = _scaling_residual(0.0, *args)
     u = 0.0
@@ -106,6 +106,8 @@ def kernel_scaling_solve(lam, y_k, P: int, kappa2: float, N: float) -> KernelSca
         step = (lambda u: 2.0 * u + 1.0) if f0 < 0.0 else (lambda u: 0.5 * u - 0.5)
         u = curves.bracket_root(_scaling_residual, 0.0, np.sign(f0), step, args)
     rhs, kappa_eff2, D, learn = _scaling_rhs(lam, y_k, P, kappa2, 1.0 + u, N)
+    # bias + variance = D (1 - sum l^2/P) + (kappa_eff^2/P) sum l + (D/P) sum l^2
+    loss = D + kappa_eff2 / P * float(np.sum(learn))
     C = N * u
     residual = abs(C / (1.0 + u) - rhs) / max(abs(rhs), 1.0)
     return KernelScalingSolution(
@@ -115,6 +117,7 @@ def kernel_scaling_solve(lam, y_k, P: int, kappa2: float, N: float) -> KernelSca
         D=D,
         converged=residual < 1e-8,
         residual=residual,
+        loss=loss,
         learnability=learn,
     )
 
@@ -132,6 +135,11 @@ def kernel_scaling_ridgeless_q(Y: float, N: float, X: float = 0.0) -> float:
     return (-(N - X) + np.sqrt(disc)) / (2.0 * Y)
 
 
+def _adaptation_residual(c, S, A, b, e) -> float:
+    """g(c) = 1/c - S + A/(b c + e)^2, strictly decreasing for c > 0."""
+    return 1.0 / c - S + A / (b * c + e) ** 2
+
+
 def adaptation_solve_linear(
     S: int,
     N_w: int,
@@ -145,40 +153,26 @@ def adaptation_solve_linear(
 ) -> AdaptationSolution:
     """Input-weight covariance order parameters of the 2-layer linear CNN.
 
-    c_perp = 1/S exactly; c_star solves
+    c_perp = 1/S exactly; c_star is the root of
 
-        1/c_star = S - target_coeff * (chi/(C N_w)) * (c_star/N_w + kappa_eff2/P)^{-2}.
+        g(c) = 1/c - S + A/(b c + e)^2,  A = target_coeff chi |a*|^2/(C N_w),
+        b = |w*|^2/N_w,  e = kappa_eff2/P.
 
-    The smallest positive root (continuously connected to the lazy
-    chi -> 0 limit) is returned; all bracketed roots are reported.
-    ``target_coeff`` rescales the target drive (used by the Erf variant).
+    g is strictly decreasing for c > 0 and g(c_perp) = A/(b c_perp + e)^2
+    >= 0, so the root is unique and lies at or above c_perp (equality iff
+    chi = 0).  c_perp is returned where g(c_perp) rounds to <= 0;
+    otherwise ``curves.bracket_root`` doubles a bracket up from c_perp and
+    solves it.  ``target_coeff`` rescales the target drive (used by the
+    Erf variant).
     """
     if min(S, N_w, C, P) <= 0 or chi < 0 or kappa_eff2 <= 0:
         raise ValueError("sizes must be positive, chi >= 0, kappa_eff2 > 0")
     c_perp = 1.0 / S
     A = target_coeff * chi / (C * N_w) * a_star_norm**2
-
-    def resid(c: float) -> float:
-        return 1.0 / c - S + A / (c * w_star_norm**2 / N_w + kappa_eff2 / P) ** 2
-
-    # scan for sign changes on a log grid from just below the lazy value
-    # outward (the root always sits at c >= c_perp; equality iff A = 0)
-    grid = np.concatenate(
-        [[c_perp * (1 - 1e-9)], np.geomspace(c_perp * (1 + 1e-6), 1e4 * max(c_perp, 1.0), 400)]
-    )
-    vals = np.array([resid(c) for c in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(float(brentq(resid, grid[i], grid[i + 1], xtol=1e-15, rtol=1e-14)))
-    if not roots:
-        raise ValueError(
-            f"no positive root of the c_star equation; residuals at bracket ends "
-            f"{vals[0]:.3e}, {vals[-1]:.3e}"
-        )
-    c_star = max(min(roots), c_perp)
+    args = (S, A, w_star_norm**2 / N_w, kappa_eff2 / P)
+    c_star = c_perp
+    if _adaptation_residual(c_perp, *args) > 0.0:
+        c_star = curves.bracket_root(_adaptation_residual, c_perp, 1.0, lambda c: 2.0 * c, args)
     quad = (c_perp + np.sqrt(c_perp**2 + 4.0 * target_coeff * chi * N_w / (C * S))) / 2.0
     lam_star = c_star * w_star_norm**2 / N_w
     lam_perp = c_perp / N_w
@@ -187,9 +181,8 @@ def adaptation_solve_linear(
         c_star=c_star,
         lambda_star=lam_star,
         lambda_perp=lam_perp,
-        residual=abs(resid(c_star)),
+        residual=abs(_adaptation_residual(c_star, *args)),
         quadratic_root=quad,
-        all_roots=tuple(sorted(roots)),
     )
 
 

@@ -86,6 +86,32 @@ class TestKernelScaling:
             Q = feature.kernel_scaling_ridgeless_q(Y, N, X)
             assert abs(Y * Q**2 + (N - X) * Q - N) < 1e-10
 
+    def test_rhs_precision_near_full_learnability(self):
+        # ridgeless at P=4096 the top modes have 1 - l_k ~ 1e-11, so 1 - l_k
+        # taken from a rounded l_k would move the sum by ~3e-9; reference:
+        # the per-term form l - D-term - y-term in long double
+        lam = spectral.powerlaw_spectrum(2.0, 1.0, 200_000)
+        y = aligned_target(lam)
+        P, Q = 4096, 1.3
+        rhs, k2, D, _ = feature._scaling_rhs(lam, y, P, 0.0, Q, 100.0)
+        L = np.longdouble
+        lam_s, y, k2, D = (lam / Q).astype(L), y.astype(L), L(k2), L(D)
+        kp = k2 / P
+        terms = lam_s / (lam_s + kp) - (P / k2**2) * lam_s / (P * lam_s / k2 + 1) ** 2 * D
+        ref = float(np.sum(terms - y**2 * lam_s / (lam_s + kp) ** 2))
+        assert rhs == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha, count", [(1.0, 500), (2.0, 200_000)])
+    def test_loss_is_learning_curve_of_scaled_kernel(self, alpha, count):
+        # the second spectrum loses its tail to truncation
+        lam = spectral.powerlaw_spectrum(alpha, 1.0, count)
+        y = aligned_target(lam)
+        assert (curves.truncate_spectrum(lam).size < count) == (count == 200_000)
+        for P, kappa2, N in [(16, 0.1, 50.0), (256, 0.001, 1000.0), (4096, 1.0, 20.0)]:
+            sol = feature.kernel_scaling_solve(lam, y, P, kappa2, N)
+            ref = curves.learning_curve(lam / sol.Q, y, P, kappa2)
+            assert sol.loss == pytest.approx(ref.total, rel=1e-12, abs=0)
+
 
 class TestAdaptationLinear:
     def test_lazy_limit(self):
@@ -135,6 +161,34 @@ class TestAdaptationLinear:
             feature.adaptation_solve_linear(0, 4, 64, 1.0, 10, 0.1)
         with pytest.raises(ValueError):
             feature.adaptation_solve_linear(16, 4, 64, 1.0, 10, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 256),
+        st.integers(1, 16),
+        st.integers(1, 1024),
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+        st.integers(1, 100_000),
+        st.floats(1e-4, 10.0),
+    )
+    def test_root_matches_cubic(self, S, N_w, C, chi, P, kappa_eff2):
+        # g(c) c (b c + e)^2 = (1 - S c)(b c + e)^2 + A c; its one positive
+        # real root, from the companion matrix, is an independent reference
+        sol = feature.adaptation_solve_linear(S, N_w, C, chi, P, kappa_eff2)
+        A, b, e = chi / (C * N_w), 1.0 / N_w, kappa_eff2 / P
+        roots = np.roots([-S * b * b, b * b - 2 * S * b * e, 2 * b * e - S * e * e + A, e * e])
+        positive = [r.real for r in roots if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0]
+        assert len(positive) == 1
+        assert sol.c_star == pytest.approx(positive[0], rel=1e-10, abs=0)
+        g = 1.0 / sol.c_star - S + A / (b * sol.c_star + e) ** 2
+        assert abs(g) < 1e-12 * S
+
+    @pytest.mark.parametrize("solve", [feature.adaptation_solve_linear, feature.adaptation_solve_erf])
+    def test_lazy_root_is_c_perp_exactly(self, solve):
+        # at chi = 0, 1/(1/S) - S rounds below 0 for some S (93) and above it for others (49)
+        for S in range(1, 201):
+            sol = solve(S, 4, 64, 0.0, 100, 0.1)
+            assert sol.c_star == sol.c_perp, S
 
 
 class TestAdaptationErf:
