@@ -214,12 +214,17 @@ def mode_covariance(lam, P: int, kappa_eff2: float, D: float):
 
 def learning_curve(lam, y_k, P: int, kappa2: float) -> LearningCurvePrediction:
     """Full effective-ridge prediction: EK at kappa_eff^2 plus D fluctuations,
-    v_k + l_k^2 D/P per mode."""
-    lam, y_k = truncate_spectrum(lam, y_k)
+    v_k + l_k^2 D/P per mode.  Modes past the truncation count in the bias
+    with all their target mass (their l_k is ~0); the per-mode arrays cover
+    the kept modes."""
+    lam, kept = truncate_spectrum(lam, y_k)
+    dropped = float(np.sum(np.asarray(y_k, dtype=float)[lam.size :] ** 2))
+    y_k = kept
     kappa_eff2 = effective_ridge_solve(lam, P, kappa2)
     if kappa_eff2 <= 0:
         raise ValueError("effective ridge collapsed to 0; spectrum fully learnable at this P")
     pred = ek_predict(lam, y_k, P, kappa_eff2)
+    pred.bias += dropped
     pred.D = _amplitude(pred.learnability, pred.bias, P)
     cross = pred.learnability**2 * (pred.D / P)
     pred.type_ii_variance = float(np.sum(cross))

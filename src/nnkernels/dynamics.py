@@ -25,10 +25,21 @@ the NTK flow with Theta_0 = Phi(0,0) + (sigma_a^2/2chi) Phi'(0,0) ∘ Kx,
 and for a linear activation with sigma_a = sigma_w and large chi the
 t -> infinity limit is the GPR mean with kernel sigma^2 Phi(0,0) and
 ridge kappa^2.
+
+The memory kernel of linear and fully connected erf nets is a sum of
+decaying exponentials, M(s) = sum_k e^{-rho_k s} C_k: one term for
+linear nets, a truncated dual-activation series for erf.  The march then
+carries one recursion per term instead of the whole history, which
+costs O(T K n^2) for T steps and K terms instead of O(T^2 n^2), and it
+never holds the (T + 1, n, n) memory array.  ``phi_kernels`` attaches
+the terms only when K <= T/2, where the term march is the cheaper one;
+otherwise, and for kernels without terms (``phi_kernels_mc``), the march
+contracts the memory kernel's lag values over the whole history.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +48,10 @@ import scipy.linalg
 from .kernels import ACTIVATIONS, NetworkSpec, _as_matrix, _patches, patch_gram
 from .gpr import gpr_predict
 from .rng import stream
+
+#: truncation error of an erf kernel's exponential terms: the series stops
+#: where its geometric tail bound r^{2K}/(1 - r^2) falls below this
+SERIES_TAIL_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -48,7 +63,9 @@ class TimeGrid:
         if t[0] != 0.0:
             raise ValueError("grid must start at t = 0")
         h = np.diff(t)
-        if np.any(h <= 0) or np.max(np.abs(h - h[0])) > 1e-12 * max(h[0], 1e-300):
+        # linspace rounds each time to within about eps * t_end, so a
+        # uniform grid's spacings differ by up to a few eps * t_end
+        if np.any(h <= 0) or np.max(np.abs(h - h[0])) > 8.0 * np.finfo(float).eps * t[-1]:
             raise ValueError("grid must be uniform and increasing")
         object.__setattr__(self, "times", t)
 
@@ -72,9 +89,17 @@ class TimeGrid:
 
 @dataclass
 class TwoTimeKernel:
-    """Stationary two-time kernel stored by lag: values[l] = Phi(t, t - l h)."""
+    """Stationary two-time kernel stored by lag: values[l] = Phi(t, t - l h).
+
+    ``rates`` and ``terms``, when set, give the same kernel as decaying
+    exponentials, Phi(s) = sum_k e^{-rates_k s} terms_k: exactly for a
+    linear net, and for an erf net to within (2/pi) SERIES_TAIL_TOL per
+    entry for Phi and (4/pi) SERIES_TAIL_TOL for Phi', plus rounding.
+    """
 
     lag_values: np.ndarray  # (steps + 1, n, n)
+    rates: np.ndarray | None = None  # (K,)
+    terms: np.ndarray | None = None  # (K, n, n)
 
     def at(self, j: int, l: int) -> np.ndarray:
         return self.lag_values[abs(j - l)]
@@ -128,7 +153,9 @@ def phi_kernels(
     Sigma_w(s) = sigma_w^2 e^{-omega_w s}, so the joint preactivation
     covariance has equal-time variances and a decayed cross term; the
     activation table's pair expectations at that covariance give Phi and
-    Phi' (for linear, Phi(s) = Sigma_w(s) Kx and Phi' = 1).
+    Phi' (for linear, Phi(s) = Sigma_w(s) Kx and Phi' = 1).  Both kernels
+    also carry their exponential terms (``_exponential_terms``) when
+    there are at most steps/2 of them.
     """
     if spec.depth != 2:
         raise ValueError("dynamics kernels implemented for depth-2 networks")
@@ -150,7 +177,56 @@ def phi_kernels(
         cov = sigma_w2 * dec * Kx
         Phi[l] = act.pair(v1, v2, cov)
         dPhi[l] = act.dpair(v1, v2, cov)
-    return TwoTimeKernel(Phi), TwoTimeKernel(dPhi)
+    series = _exponential_terms(spec.activation, Kx, sigma_w2, omega_w, grid.steps // 2)
+    (rates, terms), (drates, dterms) = series or ((None, None), (None, None))
+    return TwoTimeKernel(Phi, rates, terms), TwoTimeKernel(dPhi, drates, dterms)
+
+
+def _exponential_terms(activation: str, Kx: np.ndarray, sigma_w2: float, omega_w: float, max_terms: int):
+    """Phi and Phi' as (rates, terms), Phi(s) = sum_k e^{-rates_k s} terms_k,
+    or None when that takes more than ``max_terms`` terms.
+
+    Linear: Phi = sigma_w^2 e^{-omega_w s} Kx and Phi' = 1, one term each.
+    Erf: with d_i = 1 + 2 sigma_w^2 Kx_ii, X0 = 2 sigma_w^2 Kx / sqrt(d_i d_j)
+    and z = e^{-omega_w s},
+
+        Phi  = (2/pi) arcsin(z X0)  = (2/pi) sum_k a_k/(2k+1) X0^{2k+1} z^{2k+1},
+        Phi' = (4/pi) (1 - z^2 X0^2)^{-1/2} / sqrt(d_i d_j)
+             = (4/pi) sum_k a_k X0^{2k} z^{2k} / sqrt(d_i d_j),
+
+    with a_k = binom(2k, k)/4^k <= 1 and Hadamard powers of X0 (the
+    dual-activation expansion).  Since |X0_ij| <= r = max_i 1 - 1/d_i < 1,
+    the terms from k = K on add at most r^{2K}/(1 - r^2) times 2/pi
+    (Phi) or 4/pi (Phi') to any entry, so K, the fewest terms that bring
+    this below ``SERIES_TAIL_TOL``, is known before any term is built.
+    """
+    n = Kx.shape[0]
+    if activation == "linear":
+        if max_terms < 1:
+            return None
+        return (np.array([omega_w]), sigma_w2 * Kx[None]), (np.zeros(1), np.ones((1, n, n)))
+    d = 1.0 + 2.0 * sigma_w2 * np.diag(Kx)
+    r = float(np.max(1.0 - 1.0 / d))
+    room = SERIES_TAIL_TOL * (1.0 - r * r)
+    if room <= 0.0:
+        return None
+    K = 1 if r == 0.0 else math.ceil(math.log(room) / (2.0 * math.log(r)))
+    if K > max_terms:
+        return None
+    norm = np.sqrt(np.outer(d, d))
+    X0 = 2.0 * sigma_w2 * Kx / norm
+    X2 = X0 * X0
+    k = np.arange(K)
+    a = np.cumprod(np.concatenate(([1.0], (2.0 * k[1:] - 1.0) / (2.0 * k[1:]))))
+    even = np.empty((K, n, n))  # X0^{2k}
+    even[0] = 1.0
+    for j in range(1, K):
+        np.multiply(even[j - 1], X2, out=even[j])
+    terms = even * X0
+    terms *= ((2.0 / np.pi) * a / (2.0 * k + 1.0))[:, None, None]
+    even *= ((4.0 / np.pi) * a)[:, None, None]
+    even /= norm
+    return ((2.0 * k + 1.0) * omega_w, terms), (2.0 * k * omega_w, even)
 
 
 def phi_kernels_mc(
@@ -218,7 +294,10 @@ def msrdj_mean_predictor(
 
     The current-time slice is treated implicitly (a small linear solve
     per step); exponential memory factors are evaluated exactly at every
-    lag so stiff decay rates cost nothing in stability.
+    lag so stiff decay rates cost nothing in stability.  When both
+    kernels carry exponential terms, the history sum is carried as one
+    decaying recursion per term of M (``_term_march``); otherwise each
+    step contracts M's lag values with the whole history.
     """
     Kx = _as_matrix(Kx)
     y = np.asarray(y, dtype=float)
@@ -226,6 +305,10 @@ def msrdj_mean_predictor(
     h = grid.h
     omega_a = eta * kappa2 / sigma_a2
     omega_w = eta * kappa2 / (sigma_w2 * chi)
+    if Phi.terms is not None and dPhi.terms is not None:
+        rates = np.concatenate((omega_a + Phi.rates, omega_a + omega_w + dPhi.rates))
+        C = eta * np.concatenate((Phi.terms, (sigma_a2 / (2.0 * chi)) * dPhi.terms * Kx))
+        return _term_march(rates, C, y, h, grid.steps)
     lags = grid.times - grid.times[0]
     M = eta * (
         np.exp(-omega_a * lags)[:, None, None] * Phi.lag_values
@@ -244,6 +327,37 @@ def msrdj_mean_predictor(
         rhs = -h * known + 0.5 * h * (M[0] @ y)
         f[m] = scipy.linalg.lu_solve((lu, piv), rhs)
         gw[m] = f[m] - y
+    return f
+
+
+def _term_march(rates: np.ndarray, C: np.ndarray, y: np.ndarray, h: float, steps: int) -> np.ndarray:
+    """The march of ``msrdj_mean_predictor`` for M(s) = sum_k e^{-rates_k s} C_k.
+
+    Terms whose rates agree to rounding are merged first: in the closed
+    forms, term k of Phi and term k of Phi' share one rate.  The history
+    sum of step m, sum_{i<m} M((m - i) h) g_i over the trapezoid-weighted
+    discrepancies g_i, is sum_k C_k S_k with S_k <- e^{-rates_k h}(S_k + g_{m-1}),
+    so a step costs one product with [C_1 ... C_K], O(K n^2).
+    """
+    order = np.argsort(rates, kind="stable")
+    rates, C = rates[order], C[order]
+    first = np.concatenate(([True], np.diff(rates) > 64.0 * np.finfo(float).eps * rates[1:]))
+    C = np.add.reduceat(C, np.flatnonzero(first), axis=0)
+    rates = rates[first]
+    P = y.shape[0]
+    M0 = C.sum(axis=0)
+    A_inv = np.linalg.inv(np.eye(P) + 0.5 * h * M0)
+    history = -h * C.transpose(1, 0, 2).reshape(P, -1)  # -h [C_1 ... C_K]
+    source = A_inv @ (0.5 * h * (M0 @ y))
+    decay = np.exp(-h * rates)[:, None]
+    S = np.zeros((rates.size, P))
+    f = np.zeros((steps + 1, P))
+    g = -0.5 * y  # the trapezoid's half weight on f(0) - y
+    for m in range(1, steps + 1):
+        S += g
+        S *= decay
+        f[m] = A_inv @ (history @ S.ravel()) + source
+        g = f[m] - y
     return f
 
 

@@ -60,22 +60,23 @@ class TransferPlan:
     P: float
 
 
-def _scaling_rhs(lam, y_k, P, kappa2, Q, N):
+def _scaling_rhs(lam, y_k, P, kappa2, Q, N, dropped=0.0):
     """Target side of the C_MF consistency equation at kernel lambda/Q:
-    sum_k l_k [1 - (1 - l_k)(D + P y_k^2)/kappa_eff^2]."""
+    sum_k l_k [1 - (1 - l_k)(D + P y_k^2)/kappa_eff^2].  ``dropped`` is the
+    target mass of modes truncated off ``lam``: bias, and a source of D."""
     lam_s = lam / Q
     kappa_eff2 = curves.effective_ridge_solve(lam_s, P, kappa2)
     if kappa_eff2 <= 0:
         raise ValueError("effective ridge collapsed during kernel scaling")
     learn, miss, bias = curves._filter(lam_s, y_k, P, kappa_eff2)
-    D = curves._amplitude(learn, bias, P)
+    D = curves._amplitude(learn, bias + dropped, P)
     rhs = float(np.sum(learn * (1.0 - miss * (D + P * y_k**2) / kappa_eff2)))
     return rhs, kappa_eff2, D, learn
 
 
-def _scaling_residual(u, lam, y_k, P, kappa2, N) -> float:
+def _scaling_residual(u, lam, y_k, P, kappa2, N, dropped) -> float:
     """C_MF equation at Q = 1 + u: N(1 - 1/Q) - rhs(Q), increasing in its left side."""
-    return N * u / (1.0 + u) - _scaling_rhs(lam, y_k, P, kappa2, 1.0 + u, N)[0]
+    return N * u / (1.0 + u) - _scaling_rhs(lam, y_k, P, kappa2, 1.0 + u, N, dropped)[0]
 
 
 def kernel_scaling_solve(lam, y_k, P: int, kappa2: float, N: float) -> KernelScalingSolution:
@@ -87,7 +88,8 @@ def kernel_scaling_solve(lam, y_k, P: int, kappa2: float, N: float) -> KernelSca
     bracket grown outward from Q = 1 by factors of 2 therefore holds a
     root, found by ``curves.bracket_root``.  The unknown is u = Q - 1 = C_MF/N,
     which keeps C_MF to full precision when C_MF << N.  The spectrum is
-    truncated once, as ``curves.learning_curve`` truncates it, and the
+    truncated once, as ``curves.learning_curve`` truncates it (the dropped
+    modes' target mass stays in the bias and in D's source), and the
     effective ridge and D of the scaled spectrum are re-solved at every
     trial Q.  ``loss`` is the learning-curve loss of lambda/Q at the root,
     bias + variance = D + (kappa_eff^2/P) sum_k l_k.  ``residual`` is the
@@ -97,15 +99,17 @@ def kernel_scaling_solve(lam, y_k, P: int, kappa2: float, N: float) -> KernelSca
     """
     if N <= 0:
         raise ValueError("N must be positive")
-    lam, y_k = curves.truncate_spectrum(lam, y_k)
-    args = (lam, y_k, P, kappa2, N)
+    lam, kept = curves.truncate_spectrum(lam, y_k)
+    dropped = float(np.sum(np.asarray(y_k, dtype=float)[lam.size :] ** 2))
+    y_k = kept
+    args = (lam, y_k, P, kappa2, N, dropped)
     f0 = _scaling_residual(0.0, *args)
     u = 0.0
     if f0 != 0.0:
         # residual < 0 below the root: Q = 1 + u doubles upward from 1, else halves
         step = (lambda u: 2.0 * u + 1.0) if f0 < 0.0 else (lambda u: 0.5 * u - 0.5)
         u = curves.bracket_root(_scaling_residual, 0.0, np.sign(f0), step, args)
-    rhs, kappa_eff2, D, learn = _scaling_rhs(lam, y_k, P, kappa2, 1.0 + u, N)
+    rhs, kappa_eff2, D, learn = _scaling_rhs(lam, y_k, P, kappa2, 1.0 + u, N, dropped)
     # bias + variance = D (1 - sum l^2/P) + (kappa_eff^2/P) sum l + (D/P) sum l^2
     loss = D + kappa_eff2 / P * float(np.sum(learn))
     C = N * u

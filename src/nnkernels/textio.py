@@ -42,24 +42,32 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _column_text(col) -> list[str]:
-    """One column's values as text, by dtype; the same strings ``_fmt`` gives."""
-    col = np.asarray(col)
+def _column_text(col: np.ndarray) -> list[str]:
+    """A column that is not float, as text by dtype; the same strings ``_fmt`` gives."""
     values = col.tolist()
     if col.dtype.kind == "b":
         return ["true" if v else "false" for v in values]
-    if col.dtype.kind in "iu":
-        return list(map(str, values))
-    if col.dtype.kind == "f":
-        return list(map(float.__repr__, values))
     return list(map(str, values))
 
 
 def _table_text(columns) -> list[str]:
-    """The lines of a table given by its columns, which must all be as long."""
-    formatted = [_column_text(c) for c in columns]
-    if len({len(c) for c in formatted}) > 1:
-        raise ValueError(f"columns differ in length: {[len(c) for c in formatted]}")
+    """The lines of a table given by its columns, which must all be as long.
+
+    Each distinct float of the float columns, told apart by its bits (so
+    -0.0, every NaN payload and +-inf keep their own text), is formatted
+    once: a symmetric matrix repeats every off-diagonal entry.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    formatted = [None if c.dtype.kind == "f" else _column_text(c) for c in columns]
+    floats = [i for i, c in enumerate(columns) if c.dtype.kind == "f"]
+    if floats:
+        bits = np.stack([columns[i] for i in floats]).astype(float, copy=False).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        text = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+        for i, row in zip(floats, text[inverse.reshape(bits.shape)]):
+            formatted[i] = row.tolist()
     return list(map(",".join, zip(*formatted)))
 
 

@@ -197,22 +197,32 @@ class TestD:
     @pytest.mark.parametrize("alpha, count", [(1.0, 500), (2.0, 200_000)])
     def test_reused_terms_match_separate_solves(self, alpha, count):
         # type_ii_variance and D against mode_covariance and solve_D on the
-        # truncated spectrum learning_curve works on
+        # full spectrum: the modes learning_curve truncates have l_k ~ 0
         lam = spectral.powerlaw_spectrum(alpha, 1.0, count)
         y = aligned_target(lam)
-        lam_t, y_t = curves.truncate_spectrum(lam, y)
         for P, kappa2 in [(4, 0.0), (64, 0.1), (1024, 0.001)]:
             pred = curves.learning_curve(lam, y, P, kappa2)
             _, cross = curves.mode_covariance(lam, P, pred.kappa_eff2, pred.D)
             assert pred.type_ii_variance == pytest.approx(float(np.sum(cross)), rel=1e-13, abs=0)
-            D = curves.solve_D(lam_t, y_t, P, pred.kappa_eff2)
+            D = curves.solve_D(lam, y, P, pred.kappa_eff2)
             assert D == pytest.approx(pred.D, rel=1e-13, abs=0)
             # the same D written over v_k = (P/kappa_eff^2 + 1/lambda_k)^{-1}
             k2 = pred.kappa_eff2
-            v = 1.0 / (P / k2 + 1.0 / lam_t)
-            source = float(np.sum((k2 / P / (lam_t + k2 / P)) ** 2 * y_t**2))
+            v = 1.0 / (P / k2 + 1.0 / lam)
+            source = float(np.sum((k2 / P / (lam + k2 / P)) ** 2 * y**2))
             D_v = source / (1.0 - float(np.sum(v**2)) * P / k2**2)
             assert D_v == pytest.approx(pred.D, rel=1e-13, abs=0)
+
+    def test_truncated_target_mass_stays_in_bias(self):
+        # a uniform target puts 0.045 of its mass on the 9k modes truncated
+        # off a 200k-mode alpha=2 spectrum; unlearnable, it is all bias
+        lam = spectral.powerlaw_spectrum(2.0, 1.0, 200_000)
+        y = np.full(lam.size, 1.0 / np.sqrt(lam.size))
+        assert float(np.sum(y[curves.truncate_spectrum(lam).size :] ** 2)) > 0.04
+        pred = curves.learning_curve(lam, y, 64, 0.01)
+        full = curves.ek_predict(lam, y, 64, pred.kappa_eff2)
+        assert pred.bias == pytest.approx(full.bias, rel=1e-12, abs=0)
+        assert pred.D == pytest.approx(curves.solve_D(lam, y, 64, pred.kappa_eff2), rel=1e-12, abs=0)
 
     def test_ek_has_no_type_ii_variance(self):
         lam = spectral.powerlaw_spectrum(1.0, 1.0, 100)

@@ -32,6 +32,17 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, -0.1, -0.2]))
 
+    @pytest.mark.parametrize("t_end", [1.0, 3.7e4])
+    @pytest.mark.parametrize("steps", [10_000, 20_000, 50_000])
+    def test_long_grids_construct(self, t_end, steps):
+        # linspace's rounding grows with t_end; one time moved by 1e-6 h still fails
+        g = TimeGrid.uniform(t_end, steps)
+        assert g.steps == steps and g.h == pytest.approx(t_end / steps, rel=1e-12)
+        t = g.times.copy()
+        t[steps // 2] += 1e-6 * g.h
+        with pytest.raises(ValueError):
+            TimeGrid(t)
+
 
 class TestNTKFlow:
     def test_matches_scalar_exponential(self):
@@ -221,3 +232,67 @@ class TestMSRDJ:
     def test_starts_at_zero(self):
         *_, f, _, _ = self.setup_solution(steps=100, t_end=1.0)
         assert np.allclose(f[0], 0.0)
+
+
+def reference_lag_values(spec, X, grid, eta, kappa2, chi, sigma_w2):
+    """Phi and Phi' by lag through the activation table, one pair expectation per lag."""
+    act = kernels.ACTIVATIONS[spec.activation]
+    Kx = kernels.patch_gram(X, spec)
+    h = sigma_w2 * np.diag(Kx)
+    v1, v2 = h[:, None], h[None, :]
+    decays = np.exp(-(eta * kappa2 / (sigma_w2 * chi)) * grid.times)
+    Phi = np.array([act.pair(v1, v2, sigma_w2 * dec * Kx) for dec in decays])
+    dPhi = np.array([act.dpair(v1, v2, sigma_w2 * dec * Kx) for dec in decays])
+    return Phi, dPhi
+
+
+class TestExponentialTerms:
+    # (activation, input scale, whether phi_kernels attaches terms): at 3x
+    # unit-variance inputs the erf series needs more than steps/2 terms
+    CASES = [("linear", 1.0, True), ("erf", 1.0, True), ("erf", 0.3, True), ("erf", 3.0, False)]
+    ARGS = (0.2, 0.5, 2000.0, 1.0, 1.0)  # eta, kappa2, chi, sigma_a2, sigma_w2
+
+    def problem(self, activation, scale, P=20, steps=600):
+        spec, X, y = make_problem(P=P, activation=activation)
+        eta, kappa2, chi, sa2, sw2 = self.ARGS
+        grid = TimeGrid.uniform(50.0 * sa2 / (eta * kappa2), steps)
+        return spec, scale * X, y, grid
+
+    @pytest.mark.parametrize("activation, scale, has_terms", CASES)
+    def test_term_march_matches_lag_march(self, activation, scale, has_terms):
+        spec, X, y, grid = self.problem(activation, scale)
+        Phi, dPhi = dynamics.phi_kernels(spec, X, grid, *self.ARGS)
+        assert (Phi.terms is not None) == has_terms and (dPhi.terms is not None) == has_terms
+        Kx = kernels.patch_gram(X, spec)
+        f = dynamics.msrdj_mean_predictor(Phi, dPhi, Kx, y, grid, *self.ARGS)
+        lag_only = dynamics.TwoTimeKernel(Phi.lag_values), dynamics.TwoTimeKernel(dPhi.lag_values)
+        ref = dynamics.msrdj_mean_predictor(*lag_only, Kx, y, grid, *self.ARGS)
+        assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("activation, scale, has_terms", CASES[:3])
+    def test_terms_reproduce_lag_values(self, activation, scale, has_terms):
+        spec, X, _, grid = self.problem(activation, scale)
+        Phi, dPhi = dynamics.phi_kernels(spec, X, grid, *self.ARGS)
+        for kernel, tail in ((Phi, 2.0 / np.pi), (dPhi, 4.0 / np.pi)):
+            summed = np.einsum("lk,kab->lab", np.exp(-np.outer(grid.times, kernel.rates)), kernel.terms)
+            rounding = 16.0 * np.finfo(float).eps * np.max(np.abs(kernel.lag_values))
+            assert np.max(np.abs(summed - kernel.lag_values)) <= tail * dynamics.SERIES_TAIL_TOL + rounding
+
+    @pytest.mark.parametrize("activation, scale, has_terms", CASES)
+    def test_lag_values_bitwise_unchanged(self, activation, scale, has_terms):
+        spec, X, _, grid = self.problem(activation, scale, steps=40)
+        eta, kappa2, chi, _, sw2 = self.ARGS
+        Phi, dPhi = dynamics.phi_kernels(spec, X, grid, *self.ARGS)
+        ref_Phi, ref_dPhi = reference_lag_values(spec, X, grid, eta, kappa2, chi, sw2)
+        assert np.array_equal(Phi.lag_values, ref_Phi) and np.array_equal(dPhi.lag_values, ref_dPhi)
+
+    def test_terms_only_when_cheaper(self):
+        # K <= steps/2: the linear net's one term needs 2 steps, and the
+        # unit-variance erf series (about 100 terms) is left off short grids
+        spec, X, _, _ = self.problem("linear", 1.0)
+        assert dynamics.phi_kernels(spec, X, TimeGrid.uniform(1.0, 1), *self.ARGS)[0].terms is None
+        assert dynamics.phi_kernels(spec, X, TimeGrid.uniform(1.0, 2), *self.ARGS)[0].terms.shape[0] == 1
+        spec, X, _, _ = self.problem("erf", 1.0)
+        K = dynamics.phi_kernels(spec, X, TimeGrid.uniform(1.0, 600), *self.ARGS)[0].terms.shape[0]
+        assert dynamics.phi_kernels(spec, X, TimeGrid.uniform(1.0, 2 * K), *self.ARGS)[0].terms.shape[0] == K
+        assert dynamics.phi_kernels(spec, X, TimeGrid.uniform(1.0, 2 * K - 2), *self.ARGS)[0].terms is None

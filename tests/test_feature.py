@@ -112,6 +112,16 @@ class TestKernelScaling:
             ref = curves.learning_curve(lam / sol.Q, y, P, kappa2)
             assert sol.loss == pytest.approx(ref.total, rel=1e-12, abs=0)
 
+    def test_truncated_target_mass_sources_D(self):
+        # uniform target: the modes truncated off the spectrum hold 0.045
+        # of its mass, which D's source keeps, as on the full spectrum
+        lam = spectral.powerlaw_spectrum(2.0, 1.0, 200_000)
+        y = np.full(lam.size, 1.0 / np.sqrt(lam.size))
+        sol = feature.kernel_scaling_solve(lam, y, 64, 0.01, 100.0)
+        assert sol.converged
+        D = curves.solve_D(lam / sol.Q, y, 64, sol.kappa_eff2)
+        assert sol.D == pytest.approx(D, rel=1e-12, abs=0)
+
 
 class TestAdaptationLinear:
     def test_lazy_limit(self):
