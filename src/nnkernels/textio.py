@@ -50,24 +50,30 @@ def _column_text(col: np.ndarray) -> list[str]:
     return list(map(str, values))
 
 
-def _table_text(columns) -> list[str]:
-    """The lines of a table given by its columns, which must all be as long.
+def _float_text(columns: list[np.ndarray]) -> list[list[str]]:
+    """Float columns as text, each distinct float formatted once.
 
-    Each distinct float of the float columns, told apart by its bits (so
-    -0.0, every NaN payload and +-inf keep their own text), is formatted
-    once: a symmetric matrix repeats every off-diagonal entry.
+    Floats are told apart by their bits, so -0.0, every NaN payload and
+    +-inf keep their own text.  A symmetric matrix repeats every
+    off-diagonal entry.  The index arrays die with this call, before the
+    caller joins the lines.
     """
+    bits = np.stack(columns).astype(float, copy=False).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+    return text[inverse.reshape(bits.shape)].tolist()
+
+
+def _table_text(columns) -> list[str]:
+    """The lines of a table given by its columns, which must all be as long."""
     columns = [np.asarray(c) for c in columns]
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
     formatted = [None if c.dtype.kind == "f" else _column_text(c) for c in columns]
-    floats = [i for i, c in enumerate(columns) if c.dtype.kind == "f"]
+    floats = [i for i, text in enumerate(formatted) if text is None]
     if floats:
-        bits = np.stack([columns[i] for i in floats]).astype(float, copy=False).view(np.uint64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        text = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
-        for i, row in zip(floats, text[inverse.reshape(bits.shape)]):
-            formatted[i] = row.tolist()
+        for i, text in zip(floats, _float_text([columns[i] for i in floats])):
+            formatted[i] = text
     return list(map(",".join, zip(*formatted)))
 
 
