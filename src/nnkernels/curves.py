@@ -82,6 +82,14 @@ def truncate_spectrum(lam: np.ndarray, y: np.ndarray | None = None):
     return lam[:m], np.asarray(y, dtype=float)[:m]
 
 
+def _truncate_with_mass(lam, y):
+    """``truncate_spectrum`` of (lam, y) and the target mass sum y_k^2 of
+    the dropped modes, which are never learned: it is bias, and a source of D."""
+    lam_kept, y_kept = truncate_spectrum(lam, y)
+    dropped = float(np.sum(np.asarray(y, dtype=float)[lam_kept.size :] ** 2))
+    return lam_kept, y_kept, dropped
+
+
 def ek_predict(lam, y_k, P: int, kappa2: float) -> LearningCurvePrediction:
     """Equivalent-Kernel prediction at ridge ``kappa2`` (no self-consistency).
 
@@ -217,9 +225,7 @@ def learning_curve(lam, y_k, P: int, kappa2: float) -> LearningCurvePrediction:
     v_k + l_k^2 D/P per mode.  Modes past the truncation count in the bias
     with all their target mass (their l_k is ~0); the per-mode arrays cover
     the kept modes."""
-    lam, kept = truncate_spectrum(lam, y_k)
-    dropped = float(np.sum(np.asarray(y_k, dtype=float)[lam.size :] ** 2))
-    y_k = kept
+    lam, y_k, dropped = _truncate_with_mass(lam, y_k)
     kappa_eff2 = effective_ridge_solve(lam, P, kappa2)
     if kappa_eff2 <= 0:
         raise ValueError("effective ridge collapsed to 0; spectrum fully learnable at this P")

@@ -60,7 +60,7 @@ class TransferPlan:
     P: float
 
 
-def _scaling_rhs(lam, y_k, P, kappa2, Q, N, dropped=0.0):
+def _scaling_rhs(lam, y_k, P, kappa2, Q, N, dropped):
     """Target side of the C_MF consistency equation at kernel lambda/Q:
     sum_k l_k [1 - (1 - l_k)(D + P y_k^2)/kappa_eff^2].  ``dropped`` is the
     target mass of modes truncated off ``lam``: bias, and a source of D."""
@@ -99,9 +99,7 @@ def kernel_scaling_solve(lam, y_k, P: int, kappa2: float, N: float) -> KernelSca
     """
     if N <= 0:
         raise ValueError("N must be positive")
-    lam, kept = curves.truncate_spectrum(lam, y_k)
-    dropped = float(np.sum(np.asarray(y_k, dtype=float)[lam.size :] ** 2))
-    y_k = kept
+    lam, y_k, dropped = curves._truncate_with_mass(lam, y_k)
     args = (lam, y_k, P, kappa2, N, dropped)
     f0 = _scaling_residual(0.0, *args)
     u = 0.0

@@ -42,38 +42,24 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _column_text(col: np.ndarray) -> list[str]:
-    """A column that is not float, as text by dtype; the same strings ``_fmt`` gives."""
+def _column_text(col) -> list[str]:
+    """One column's values as text, by dtype; the same strings ``_fmt`` gives."""
+    col = np.asarray(col)
     values = col.tolist()
     if col.dtype.kind == "b":
         return ["true" if v else "false" for v in values]
+    if col.dtype.kind in "iu":
+        return list(map(str, values))
+    if col.dtype.kind == "f":
+        return list(map(float.__repr__, values))
     return list(map(str, values))
-
-
-def _float_text(columns: list[np.ndarray]) -> list[list[str]]:
-    """Float columns as text, each distinct float formatted once.
-
-    Floats are told apart by their bits, so -0.0, every NaN payload and
-    +-inf keep their own text.  A symmetric matrix repeats every
-    off-diagonal entry.  The index arrays die with this call, before the
-    caller joins the lines.
-    """
-    bits = np.stack(columns).astype(float, copy=False).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
-    return text[inverse.reshape(bits.shape)].tolist()
 
 
 def _table_text(columns) -> list[str]:
     """The lines of a table given by its columns, which must all be as long."""
-    columns = [np.asarray(c) for c in columns]
-    if len({len(c) for c in columns}) > 1:
-        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-    formatted = [None if c.dtype.kind == "f" else _column_text(c) for c in columns]
-    floats = [i for i, text in enumerate(formatted) if text is None]
-    if floats:
-        for i, text in zip(floats, _float_text([columns[i] for i in floats])):
-            formatted[i] = text
+    formatted = [_column_text(c) for c in columns]
+    if len({len(c) for c in formatted}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in formatted]}")
     return list(map(",".join, zip(*formatted)))
 
 

@@ -31,7 +31,7 @@ class TestKernelScaling:
         sol = feature.kernel_scaling_solve(lam, y, 64, 0.1, 50.0)
         assert sol.converged and sol.residual < 1e-8
         # verify the converged C_MF satisfies the stated equation directly
-        rhs, _, _, _ = feature._scaling_rhs(lam, y, 64, 0.1, sol.Q, 50.0)
+        rhs, _, _, _ = feature._scaling_rhs(lam, y, 64, 0.1, sol.Q, 50.0, 0.0)
         assert abs(sol.C_MF / (1.0 + sol.C_MF / 50.0) - rhs) < 1e-7 * max(abs(rhs), 1.0)
 
     @settings(max_examples=25, deadline=None)
@@ -45,7 +45,7 @@ class TestKernelScaling:
         lam = spectral.powerlaw_spectrum(alpha, 1.0, 500)
         y = aligned_target(lam)
         sol = feature.kernel_scaling_solve(lam, y, P, kappa2, N)
-        rhs, _, _, _ = feature._scaling_rhs(lam, y, P, kappa2, sol.Q, N)
+        rhs, _, _, _ = feature._scaling_rhs(lam, y, P, kappa2, sol.Q, N, 0.0)
         assert sol.converged
         assert sol.Q == pytest.approx(1.0 + sol.C_MF / N, rel=1e-15)
         assert abs(sol.C_MF / (1.0 + sol.C_MF / N) - rhs) < 1e-10 * max(abs(rhs), 1.0)
@@ -93,7 +93,7 @@ class TestKernelScaling:
         lam = spectral.powerlaw_spectrum(2.0, 1.0, 200_000)
         y = aligned_target(lam)
         P, Q = 4096, 1.3
-        rhs, k2, D, _ = feature._scaling_rhs(lam, y, P, 0.0, Q, 100.0)
+        rhs, k2, D, _ = feature._scaling_rhs(lam, y, P, 0.0, Q, 100.0, 0.0)
         L = np.longdouble
         lam_s, y, k2, D = (lam / Q).astype(L), y.astype(L), L(k2), L(D)
         kp = k2 / P

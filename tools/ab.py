@@ -1,15 +1,16 @@
 """Interleaved A/B runs of the benchmark between two git revisions.
 
     python3 tools/ab.py --parent REV --change REV --out BENCH_<n>.json
-        [--workloads a,b] [--pairs 10] [--seconds S] [--seed 1000]
+        [--workloads a,b] [--pairs 10] [--seed 1000]
         [--claim WORKLOAD:METRIC] [--traced WORKLOAD] [--note TEXT]
 
 Each revision's committed tree is extracted with ``git archive`` into
 ``.bench_out/ab-<sha>/``, so uncommitted files never reach a run and
 both sides run the benchmark code of their own revision.  For every
-workload, pair i runs ``bench/run.py --trace 0`` on both trees with the
-same workload seed (``--seed`` + i), one run at a time, parent first on
-even i and change first on odd i.  The record keeps every run's metrics
+workload, pair i runs ``bench/run.py --trace 0`` on both trees for
+BENCHMARK.json's ``run_seconds``, with the same workload seed
+(``--seed`` + i), one run at a time, parent first on even i and change
+first on odd i.  The record keeps every run's metrics
 and correctness and, per end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles (``statistics.quantiles``, inclusive), the
 pairs each side won, the parent's quartile spread relative to its
@@ -153,7 +154,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     ap.add_argument("--workloads", default="", help="comma-separated; default: every workload of BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=0.0, help="default: BENCHMARK.json run_seconds")
     ap.add_argument("--seed", type=int, default=1000, help="pair i runs workload seed SEED + i")
     ap.add_argument("--claim", default="", help="WORKLOAD:METRIC the change claims a gain on")
     ap.add_argument("--traced", default="", help="a workload to run once per side with --trace 1")
@@ -162,7 +162,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w for w in args.workloads.split(",") if w] or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     if args.pairs < 1 or args.seed < 0:
         ap.error("--pairs must be positive and --seed non-negative")
     shas = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}") for side, rev in zip(SIDES, (args.parent, args.change))}
