@@ -34,158 +34,142 @@ class ConfigError(Exception):
 
 REQUIRED = object()
 
+_KERNELS = {"nngp": kernels.nngp_kernel, "ntk": kernels.ntk_kernel_2layer}
+# target.kind names a target in mode space for the spectral commands and a
+# teacher on the data for the data commands; compare takes either, because
+# its two modes need one each (see _cmd_compare)
+_SPECTRAL_TARGETS = ("aligned", "uniform", "power")
+_TEACHER_TARGETS = ("single_index_linear", "cubic_single_index")
+
+# every key: (type, default, allowed values or None)
 _NET_KEYS = {
-    "net.depth": (int, 2),
-    "net.activation": (str, "erf"),
-    "net.patch_count": (int, 1),
-    "net.weight_var": (float, 1.0),
-    "net.readout_var": (float, 1.0),
-    "net.chi": (float, 1.0),
-    "net.channels": (int, 1),
+    "net.depth": (int, 2, None),
+    "net.activation": (str, "erf", tuple(kernels.ACTIVATIONS)),
+    "net.patch_count": (int, 1, None),
+    "net.weight_var": (float, 1.0, None),
+    "net.readout_var": (float, 1.0, None),
+    "net.chi": (float, 1.0, None),
+    "net.channels": (int, 1, None),
 }
 _DATA_KEYS = {
-    "data.kind": (str, "gaussian_iid"),
-    "data.d": (int, REQUIRED),
-    "data.n": (int, REQUIRED),
-    "data.scale": (float, 1.0),
-    "data.file": (str, ""),
-    "data.label_column": (str, ""),
+    "data.kind": (str, "gaussian_iid", ("gaussian_iid", "hypersphere_uniform")),
+    "data.d": (int, REQUIRED, None),
+    "data.n": (int, REQUIRED, None),
+    "data.scale": (float, 1.0, None),
+    "data.file": (str, "", None),
+    "data.label_column": (str, "", None),
 }
+_KERNEL_TYPE = {"kernel.type": (str, "nngp", tuple(_KERNELS))}
+_TEACHER_KIND = {"target.kind": (str, "single_index_linear", _TEACHER_TARGETS)}
 _SPECTRUM_KEYS = {
-    "spectrum.alpha": (float, 1.0),
-    "spectrum.lambda1": (float, 1.0),
-    "spectrum.count": (int, 20000),
+    "spectrum.alpha": (float, 1.0, None),
+    "spectrum.lambda1": (float, 1.0, None),
+    "spectrum.count": (int, 20000, None),
 }
 _TARGET_KEYS = {
-    "target.kind": (str, "aligned"),  # aligned | uniform | power
-    "target.exponent": (float, 1.0),
-    "target.norm": (float, 1.0),
+    "target.kind": (str, "aligned", _SPECTRAL_TARGETS),
+    "target.exponent": (float, 1.0, None),
+    "target.norm": (float, 1.0, None),
 }
 _SWEEP_KEYS = {
-    "sweep.p_min": (int, 16),
-    "sweep.p_max": (int, 4096),
-    "sweep.p_count": (int, 9),
+    "sweep.p_min": (int, 16, None),
+    "sweep.p_max": (int, 4096, None),
+    "sweep.p_count": (int, 9, None),
+}
+_TEST_N = {"test.n": (int, 64, None)}
+_TRAIN_KEYS = {
+    **_TEST_N,
+    "train.step_size": (float, 0.0, None),  # 0 -> auto from NTK spectrum
+    "train.steps": (int, 2000, None),
+    "train.burn_in": (int, 1000, None),
+    "train.thin": (int, 10, None),
+    "train.n_seeds": (int, 8, None),
 }
 
 SCHEMAS = {
-    "kernel": {**_NET_KEYS, **_DATA_KEYS, "kernel.type": (str, "nngp")},
-    "spectrum": {**_NET_KEYS, **_DATA_KEYS, "kernel.type": (str, "nngp")},
+    "kernel": {**_NET_KEYS, **_DATA_KEYS, **_KERNEL_TYPE},
+    "spectrum": {**_NET_KEYS, **_DATA_KEYS, **_KERNEL_TYPE},
     "gpr": {
         **_NET_KEYS,
         **_DATA_KEYS,
-        "kernel.type": (str, "nngp"),
-        "gpr.kappa2": (float, REQUIRED),
-        "test.n": (int, 64),
-        "target.kind": (str, "single_index_linear"),
-        "target.cubic_coeff": (float, 0.1),
+        **_KERNEL_TYPE,
+        "gpr.kappa2": (float, REQUIRED, None),
+        **_TEST_N,
+        **_TEACHER_KIND,
+        "target.cubic_coeff": (float, 0.1, None),
     },
     "curve": {
         **_SPECTRUM_KEYS,
         **_TARGET_KEYS,
         **_SWEEP_KEYS,
-        "curve.kappa2": (float, 0.0),
-        "curve.ridge_mode": (str, "effective"),
-        "rg.epsilon": (float, 0.01),
+        "curve.kappa2": (float, 0.0, None),
+        "curve.ridge_mode": (str, "effective", ("effective", "rg")),
+        "rg.epsilon": (float, 0.01, None),
     },
     "rg": {
         **_SPECTRUM_KEYS,
         **_TARGET_KEYS,
-        "rg.P": (int, REQUIRED),
-        "rg.kappa2": (float, 0.0),
-        "rg.epsilon": (float, 0.01),
+        "rg.P": (int, REQUIRED, None),
+        "rg.kappa2": (float, 0.0, None),
+        "rg.epsilon": (float, 0.01, None),
     },
     "scalinglaw": {
-        "scaling.alphas": (str, "0.5,1,2"),
-        "scaling.count": (int, 2_000_000),
-        "scaling.kappa2_ek": (float, 1.0),
+        "scaling.alphas": (str, "0.5,1,2", None),
+        "scaling.count": (int, 2_000_000, None),
+        "scaling.kappa2_ek": (float, 1.0, None),
         **_SWEEP_KEYS,
     },
     "featscale": {
         **_SPECTRUM_KEYS,
         **_TARGET_KEYS,
         **_SWEEP_KEYS,
-        "featscale.kappa2": (float, REQUIRED),
-        "featscale.N": (float, REQUIRED),
+        "featscale.kappa2": (float, REQUIRED, None),
+        "featscale.N": (float, REQUIRED, None),
     },
     "adapt": {
-        "adapt.S": (int, REQUIRED),
-        "adapt.N_w": (int, REQUIRED),
-        "adapt.C": (int, REQUIRED),
-        "adapt.chi": (float, REQUIRED),
-        "adapt.kappa2": (float, 0.01),
-        "adapt.activation": (str, "linear"),
+        "adapt.S": (int, REQUIRED, None),
+        "adapt.N_w": (int, REQUIRED, None),
+        "adapt.C": (int, REQUIRED, None),
+        "adapt.chi": (float, REQUIRED, None),
+        "adapt.kappa2": (float, 0.01, None),
+        "adapt.activation": (str, "linear", ("linear", "erf")),
         **_SWEEP_KEYS,
     },
     "dynamics": {
         **_DATA_KEYS,
-        "net.activation": (str, "linear"),
-        "net.patch_count": (int, 1),
-        "dyn.eta": (float, 1.0),
-        "dyn.kappa2": (float, REQUIRED),
-        "dyn.chi": (float, 1.0),
-        "dyn.sigma_a2": (float, 1.0),
-        "dyn.sigma_w2": (float, 1.0),
-        "dyn.steps": (int, 400),
-        "dyn.t_end": (float, 0.0),  # 0 -> default horizon
-        "target.kind": (str, "single_index_linear"),
+        "net.activation": (str, "linear", tuple(kernels.ACTIVATIONS)),
+        "net.patch_count": (int, 1, None),
+        "dyn.eta": (float, 1.0, None),
+        "dyn.kappa2": (float, REQUIRED, None),
+        "dyn.chi": (float, 1.0, None),
+        "dyn.sigma_a2": (float, 1.0, None),
+        "dyn.sigma_w2": (float, 1.0, None),
+        "dyn.steps": (int, 400, None),
+        "dyn.t_end": (float, 0.0, None),  # 0 -> default horizon
+        **_TEACHER_KIND,
     },
     "train": {
         **_NET_KEYS,
         **_DATA_KEYS,
-        "test.n": (int, 64),
-        "target.kind": (str, "single_index_linear"),
-        "train.temperature": (float, REQUIRED),
-        "train.step_size": (float, 0.0),  # 0 -> auto from NTK spectrum
-        "train.steps": (int, 2000),
-        "train.burn_in": (int, 1000),
-        "train.thin": (int, 10),
-        "train.n_seeds": (int, 8),
+        **_TEACHER_KIND,
+        "train.temperature": (float, REQUIRED, None),
+        **_TRAIN_KEYS,
     },
     "compare": {
         **_NET_KEYS,
         **_DATA_KEYS,
-        "data.d": (int, 10),
-        "data.n": (int, 64),
+        "data.d": (int, 10, None),
+        "data.n": (int, 64, None),
         **_SPECTRUM_KEYS,
         **_TARGET_KEYS,
-        "compare.mode": (str, "gpr-vs-train"),  # gpr-vs-train | theory-vs-mc
-        "compare.tolerance": (float, 0.1),
-        "compare.kappa2": (float, 0.01),
-        "compare.P": (int, 32),
-        "compare.draws": (int, 500),
-        "test.n": (int, 64),
-        "target.kind": (str, "single_index_linear"),
-        "train.step_size": (float, 0.0),
-        "train.steps": (int, 2000),
-        "train.burn_in": (int, 1000),
-        "train.thin": (int, 10),
-        "train.n_seeds": (int, 8),
+        "target.kind": (str, "single_index_linear", _SPECTRAL_TARGETS + _TEACHER_TARGETS),
+        "compare.mode": (str, "gpr-vs-train", ("gpr-vs-train", "theory-vs-mc")),
+        "compare.tolerance": (float, 0.1, None),
+        "compare.kappa2": (float, 0.01, None),
+        "compare.P": (int, 32, None),
+        "compare.draws": (int, 500, None),
+        **_TRAIN_KEYS,
     },
-}
-
-
-_CHOICES = {
-    "net.activation": tuple(kernels.ACTIVATIONS),
-    "kernel.type": ("nngp", "ntk"),
-    "adapt.activation": ("linear", "erf"),
-    "curve.ridge_mode": ("effective", "rg"),
-    "data.kind": ("gaussian_iid", "hypersphere_uniform"),
-    "compare.mode": ("gpr-vs-train", "theory-vs-mc"),
-}
-
-_SPECTRAL_TARGETS = ("aligned", "uniform", "power")
-_TEACHER_TARGETS = ("single_index_linear", "cubic_single_index")
-# target.kind names a target in mode space for the spectral commands and a
-# teacher on the data for the data commands; compare takes either, because
-# its two modes need one each (see _cmd_compare)
-_TARGET_KINDS = {
-    "curve": _SPECTRAL_TARGETS,
-    "rg": _SPECTRAL_TARGETS,
-    "featscale": _SPECTRAL_TARGETS,
-    "gpr": _TEACHER_TARGETS,
-    "dynamics": _TEACHER_TARGETS,
-    "train": _TEACHER_TARGETS,
-    "compare": _SPECTRAL_TARGETS + _TEACHER_TARGETS,
 }
 
 
@@ -195,13 +179,12 @@ def _resolve(command: str, raw: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     cfg = {}
-    for key, (typ, default) in schema.items():
+    for key, (typ, default, choices) in schema.items():
         if key in raw:
             try:
                 cfg[key] = typ(raw[key])
             except ValueError as e:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r} ({e})") from None
-            choices = _TARGET_KINDS[command] if key == "target.kind" else _CHOICES.get(key)
             if choices and cfg[key] not in choices:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r} (not one of {choices})")
         elif default is REQUIRED:
@@ -211,24 +194,10 @@ def _resolve(command: str, raw: dict) -> dict:
     return cfg
 
 
-def _net_spec(cfg: dict, d: int) -> kernels.NetworkSpec:
-    return kernels.NetworkSpec(
-        depth=cfg.get("net.depth", 2),
-        input_dim=d,
-        patch_count=cfg.get("net.patch_count", 1),
-        activation=cfg.get("net.activation", "erf"),
-        weight_var=cfg.get("net.weight_var", 1.0),
-        readout_var=cfg.get("net.readout_var", 1.0),
-        chi=cfg.get("net.chi", 1.0),
-        channels=cfg.get("net.channels", 1),
-    )
-
-
-def _kernel(cfg: dict, spec: kernels.NetworkSpec, X: np.ndarray) -> kernels.KernelMatrix:
-    """The ``kernel.type`` kernel on the rows of X; NNGP where the command has no such key."""
-    if cfg.get("kernel.type", "nngp") == "nngp":
-        return kernels.nngp_kernel(spec, X)
-    return kernels.ntk_kernel_2layer(spec, X)
+def _net_spec(cfg: dict, d: int, **fixed) -> kernels.NetworkSpec:
+    """The network on d inputs: each net.<field> key sets that field, ``fixed`` the rest."""
+    net = {key[len("net.") :]: value for key, value in cfg.items() if key.startswith("net.")}
+    return kernels.NetworkSpec(input_dim=d, **net, **fixed)
 
 
 def _load_data(cfg: dict, seed: int, test_n: int = 0):
@@ -239,7 +208,7 @@ def _load_data(cfg: dict, seed: int, test_n: int = 0):
     rows are the training points, so no test point repeats one.
     """
     n = cfg["data.n"]
-    if cfg.get("data.file"):
+    if cfg["data.file"]:
         try:
             names, body = textio.read_table(cfg["data.file"])
         except (OSError, ValueError) as e:
@@ -251,7 +220,7 @@ def _load_data(cfg: dict, seed: int, test_n: int = 0):
         elif len(names) != body.shape[1]:
             raise ConfigError(f"data file header has {len(names)} names for {body.shape[1]} columns")
         y = None
-        if cfg.get("data.label_column"):
+        if cfg["data.label_column"]:
             col = cfg["data.label_column"]
             if col not in names:
                 raise ConfigError(f"label column {col!r} not in data header")
@@ -269,26 +238,48 @@ def _synthetic(cfg: dict, d: int, n: int, seed: int) -> np.ndarray:
     return empirical.make_synthetic(cfg["data.kind"], d, n, seed, scale=cfg["data.scale"]).points
 
 
-def _unit_teacher(d: int, seed: int) -> np.ndarray:
-    w = rng.stream(seed, "teacher").standard_normal(d)
-    return w / np.linalg.norm(w)
+def _problem(cfg: dict, seed: int, test_n: int = 0):
+    """Training inputs and labels, test points and test labels.
+
+    The labels are the data file's label column when it names one, and
+    the test labels are then None.  Otherwise both come from the
+    ``target.kind`` teacher on a unit direction drawn from the seed's
+    "teacher" stream.
+    """
+    meas, y, test = _load_data(cfg, seed, test_n)
+    X = meas.points
+    if y is not None:
+        return X, y, test, None
+    w = rng.stream(seed, "teacher").standard_normal(X.shape[1])
+    w /= np.linalg.norm(w)
+    coeff = {"cubic_coeff": cfg["target.cubic_coeff"]} if "target.cubic_coeff" in cfg else {}
+    teacher = lambda Z: empirical.make_target(cfg["target.kind"], Z, w, **coeff)
+    return X, teacher(X), test, teacher(test)
 
 
-def _spectrum_and_target(cfg: dict):
+def _posterior(kernel, spec, X, y, test, kappa2: float) -> gpr.GPRPosterior:
+    """GPR at the test points, the kernel taken once on the training and test points together."""
+    K = kernel(spec, np.vstack([X, test])).entries
+    P = X.shape[0]
+    return gpr.gpr_predict(K[:P, :P], K[P:, :P], np.diag(K)[P:], y, kappa2)
+
+
+def _mode_target(lam: np.ndarray, kind: str, exponent: float | None = None) -> np.ndarray:
+    """Unit-norm target coefficients on the modes of ``lam``: ``aligned``
+    traces the spectrum (y_k ~ sqrt(lambda_k)), ``uniform`` is flat,
+    ``power`` falls as k^-exponent."""
+    if kind == "uniform":
+        return np.full(lam.size, 1.0 / np.sqrt(lam.size))
+    y = np.sqrt(lam) if kind == "aligned" else np.arange(1, lam.size + 1, dtype=float) ** (-exponent)
+    y /= np.linalg.norm(y)
+    return y
+
+
+def _spectrum_and_target(cfg: dict, kind: str):
     lam = spectral.powerlaw_spectrum(
         cfg["spectrum.alpha"], cfg["spectrum.lambda1"], cfg["spectrum.count"]
     )
-    m = lam.size
-    kind = cfg.get("target.kind", "aligned")
-    if kind == "aligned":  # unit-RKHS-norm target tracing the spectrum
-        y = np.sqrt(lam)
-        y /= np.linalg.norm(y)
-    elif kind == "uniform":
-        y = np.full(m, 1.0 / np.sqrt(m))
-    else:  # power
-        y = np.arange(1, m + 1, dtype=float) ** (-cfg.get("target.exponent", 1.0))
-        y /= np.linalg.norm(y)
-    return lam, cfg.get("target.norm", 1.0) * y
+    return lam, cfg["target.norm"] * _mode_target(lam, kind, cfg["target.exponent"])
 
 
 def _p_sweep(cfg: dict) -> np.ndarray:
@@ -315,7 +306,7 @@ def _loglog_slope(P: np.ndarray, L: np.ndarray) -> float:
 def _cmd_kernel(cfg, seed):
     meas, _, _ = _load_data(cfg, seed)
     spec = _net_spec(cfg, meas.points.shape[1])
-    K = _kernel(cfg, spec, meas.points)
+    K = _KERNELS[cfg["kernel.type"]](spec, meas.points)
     header = [f"k{j}" for j in range(K.n)]
     return header, K.entries.T, {"n": K.n, "trace": float(np.trace(K.entries))}
 
@@ -323,7 +314,7 @@ def _cmd_kernel(cfg, seed):
 def _cmd_spectrum(cfg, seed):
     meas, _, _ = _load_data(cfg, seed)
     spec = _net_spec(cfg, meas.points.shape[1])
-    K = _kernel(cfg, spec, meas.points)
+    K = _KERNELS[cfg["kernel.type"]](spec, meas.points)
     lam, clipped = spectral.eigenvalues(K, meas)
     return ["k", "lambda"], [np.arange(1, lam.size + 1), lam], {
         "trace": float(np.sum(lam)),
@@ -333,40 +324,30 @@ def _cmd_spectrum(cfg, seed):
 
 
 def _cmd_gpr(cfg, seed):
-    meas, y_file, test = _load_data(cfg, seed, cfg["test.n"])
-    X = meas.points
-    d = X.shape[1]
-    spec = _net_spec(cfg, d)
-    if y_file is None:
-        w = _unit_teacher(d, seed)
-        y = empirical.make_target(cfg["target.kind"], X, w, cubic_coeff=cfg["target.cubic_coeff"])
-    else:
-        y = y_file
-        w = None
-    both = np.vstack([X, test])
-    Kfull = _kernel(cfg, spec, both).entries
-    P = X.shape[0]
-    post = gpr.gpr_predict(Kfull[:P, :P], Kfull[P:, :P], np.diag(Kfull)[P:], y, cfg["gpr.kappa2"])
+    X, y, test, y_test = _problem(cfg, seed, cfg["test.n"])
+    spec = _net_spec(cfg, X.shape[1])
+    post = _posterior(_KERNELS[cfg["kernel.type"]], spec, X, y, test, cfg["gpr.kappa2"])
     summary = {
         "train_rmse": float(np.sqrt(np.mean(post.train_residuals**2))),
         "jitter": post.jitter,
     }
-    if w is not None:
-        y_test = empirical.make_target(cfg["target.kind"], test, w, cubic_coeff=cfg["target.cubic_coeff"])
+    if y_test is not None:
         summary["test_mse"] = float(np.mean((post.mean - y_test) ** 2))
     columns = [np.arange(post.mean.size), post.mean, post.variance]
     return ["point_index", "mean", "variance"], columns, summary
 
 
 def _cmd_curve(cfg, seed):
-    lam, y_k = _spectrum_and_target(cfg)
+    lam, y_k = _spectrum_and_target(cfg, cfg["target.kind"])
     rows = []
     for P in _p_sweep(cfg):
         if cfg["curve.ridge_mode"] == "rg":
             flow = curves.rg_flow(lam, y_k, int(P), cfg["curve.kappa2"], cfg["rg.epsilon"])
-            kept = slice(0, flow.cutoff_index)
-            pred = curves.learning_curve(lam[kept], y_k[kept], int(P), flow.kappa_rg2)
-            pred.bias += flow.absorbed_target  # integrated-out modes stay unlearned
+            # the absorbed modes live on only in the ridge; at eigenvalue 0 the
+            # truncation counts their target mass in the bias and in D's source
+            lam_rg = lam.copy()
+            lam_rg[flow.cutoff_index :] = 0.0
+            pred = curves.learning_curve(lam_rg, y_k, int(P), flow.kappa_rg2)
             rows.append([int(P), flow.kappa_rg2, pred.D, pred.bias, pred.variance, pred.total])
         else:
             pred = curves.learning_curve(lam, y_k, int(P), cfg["curve.kappa2"])
@@ -377,7 +358,7 @@ def _cmd_curve(cfg, seed):
 
 
 def _cmd_rg(cfg, seed):
-    lam, y_k = _spectrum_and_target(cfg)
+    lam, y_k = _spectrum_and_target(cfg, cfg["target.kind"])
     flow = curves.rg_flow(lam, y_k, cfg["rg.P"], cfg["rg.kappa2"], cfg["rg.epsilon"])
     modes, ridge = flow.trajectory.T
     return ["modes_remaining", "ridge"], [modes.astype(np.int64), ridge], {
@@ -394,10 +375,8 @@ def _cmd_scalinglaw(cfg, seed):
     rows = []
     for alpha in alphas:
         lam = spectral.powerlaw_spectrum(alpha, 1.0, cfg["scaling.count"])
-        # spectrum-aligned target y_k ~ sqrt(lambda_k): ridgeless loss ~ P^-alpha,
-        # fixed-ridge EK loss ~ P^(-alpha/(1+alpha))
-        y_k = np.sqrt(lam)
-        y_k /= np.linalg.norm(y_k)
+        # aligned target: ridgeless loss ~ P^-alpha, fixed-ridge EK loss ~ P^(-alpha/(1+alpha))
+        y_k = _mode_target(lam, "aligned")
         for regime in ("ridgeless", "ek"):
             losses = []
             for P in ps:
@@ -415,7 +394,7 @@ def _cmd_scalinglaw(cfg, seed):
 
 
 def _cmd_featscale(cfg, seed):
-    lam, y_k = _spectrum_and_target(cfg)
+    lam, y_k = _spectrum_and_target(cfg, cfg["target.kind"])
     rows = []
     for P in _p_sweep(cfg):
         sol = feature.kernel_scaling_solve(
@@ -450,17 +429,13 @@ def _cmd_adapt(cfg, seed):
 
 
 def _cmd_dynamics(cfg, seed):
-    meas, _, _ = _load_data(cfg, seed)
-    X = meas.points
-    d = X.shape[1]
-    spec = _net_spec(cfg, d)
+    X, y, _, _ = _problem(cfg, seed)
+    spec = _net_spec(cfg, X.shape[1], depth=2)
     if not dynamics.closed_form_covers(spec):
         raise ConfigError(
             f"dynamics covers linear nets and fully connected erf nets, not "
             f"net.activation={spec.activation} with net.patch_count={spec.patch_count}"
         )
-    w = _unit_teacher(d, seed)
-    y = empirical.make_target(cfg["target.kind"], X, w)
     eta, kappa2, chi = cfg["dyn.eta"], cfg["dyn.kappa2"], cfg["dyn.chi"]
     sa2, sw2 = cfg["dyn.sigma_a2"], cfg["dyn.sigma_w2"]
     if cfg["dyn.t_end"] > 0:
@@ -481,65 +456,58 @@ def _cmd_dynamics(cfg, seed):
     }
 
 
-def _train_stats(cfg, seed):
-    meas, _, test = _load_data(cfg, seed, cfg["test.n"])
-    X = meas.points
-    d = X.shape[1]
-    spec = _net_spec(cfg, d)
-    w = _unit_teacher(d, seed)
-    y = empirical.make_target(cfg["target.kind"], X, w)
+def _ensemble(cfg, seed, spec, X, y, test, temperature: float):
+    """Langevin ensemble statistics at the test points and the step size used."""
     step = cfg["train.step_size"] or empirical.suggest_step_size(spec, X)
     chain_seeds = rng.stream(seed, "chains").bit_generator.random_raw(cfg["train.n_seeds"])
     tc = empirical.TrainingConfig(
         step_size=step,
-        temperature=cfg["train.temperature"] if "train.temperature" in cfg else cfg["compare.kappa2"],
+        temperature=temperature,
         steps=cfg["train.steps"],
         burn_in=cfg["train.burn_in"],
         thin=cfg["train.thin"],
         seeds=tuple(chain_seeds.tolist()),
     )
-    stats = empirical.langevin_train(spec, X, y, test, tc)
-    return spec, X, y, test, w, stats, tc
+    return empirical.langevin_train(spec, X, y, test, tc), step
 
 
 def _cmd_train(cfg, seed):
-    spec, X, y, test, w, stats, tc = _train_stats(cfg, seed)
-    y_test = empirical.make_target(cfg["target.kind"], test, w)
-    columns = [np.arange(stats.mean.size), stats.mean, stats.variance]
-    return ["point_index", "mean", "variance"], columns, {
+    X, y, test, y_test = _problem(cfg, seed, cfg["test.n"])
+    spec = _net_spec(cfg, X.shape[1])
+    stats, step = _ensemble(cfg, seed, spec, X, y, test, cfg["train.temperature"])
+    summary = {
         "equilibrated": stats.equilibrated,
         "split_half_gap": stats.split_half_gap,
-        "step_size": tc.step_size,
-        "test_mse": float(np.mean((stats.mean - y_test) ** 2)),
+        "step_size": step,
     }
+    if y_test is not None:
+        summary["test_mse"] = float(np.mean((stats.mean - y_test) ** 2))
+    columns = [np.arange(stats.mean.size), stats.mean, stats.variance]
+    return ["point_index", "mean", "variance"], columns, summary
 
 
 def _cmd_compare(cfg, seed):
     mode = cfg["compare.mode"]
     tol = cfg["compare.tolerance"]
+    kappa2 = cfg["compare.kappa2"]
     rows = []
     if mode == "gpr-vs-train":
         if cfg["target.kind"] not in _TEACHER_TARGETS:
             raise ConfigError(f"gpr-vs-train needs a teacher target.kind, one of {_TEACHER_TARGETS}")
-        spec, X, y, test, w, stats, tc = _train_stats(cfg, seed)
-        both = np.vstack([X, test])
-        K = _kernel(cfg, spec, both).entries
-        P = X.shape[0]
-        post = gpr.gpr_predict(K[:P, :P], K[P:, :P], np.diag(K)[P:], y, cfg["compare.kappa2"])
+        X, y, test, _ = _problem(cfg, seed, cfg["test.n"])
+        spec = _net_spec(cfg, X.shape[1])
+        stats, _ = _ensemble(cfg, seed, spec, X, y, test, kappa2)
+        post = _posterior(kernels.nngp_kernel, spec, X, y, test, kappa2)
         rmse = float(np.sqrt(np.mean((stats.mean - post.mean) ** 2)))
         scale = float(np.sqrt(np.mean(post.mean**2)))
         dev = rmse / max(scale, 1e-300)
         rows.append(["ensemble_mean_vs_gpr_rel_rmse", dev, 0.0, dev, tol, dev < tol])
     else:  # theory-vs-mc; a teacher target.kind, the default, means aligned
-        scfg = dict(cfg)
-        if scfg["target.kind"] not in _SPECTRAL_TARGETS:
-            scfg["target.kind"] = "aligned"
-        lam, y_k = _spectrum_and_target(scfg)
+        kind = cfg["target.kind"] if cfg["target.kind"] in _SPECTRAL_TARGETS else "aligned"
+        lam, y_k = _spectrum_and_target(cfg, kind)
         P = cfg["compare.P"]
-        pred = curves.learning_curve(lam, y_k, P, cfg["compare.kappa2"])
-        mc = empirical.dataset_averaged_gpr_mc(
-            lam, y_k, P, cfg["compare.kappa2"], cfg["compare.draws"], seed
-        )
+        pred = curves.learning_curve(lam, y_k, P, kappa2)
+        mc = empirical.dataset_averaged_gpr_mc(lam, y_k, P, kappa2, cfg["compare.draws"], seed)
         dev_loss = abs(pred.total - mc.total) / mc.total
         rows.append(["total_loss", pred.total, mc.total, dev_loss, tol, dev_loss < tol])
         th_ii = pred.type_ii_variance

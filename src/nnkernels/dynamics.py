@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import ACTIVATIONS, NetworkSpec, _as_matrix, _patches, patch_gram
+from .kernels import ACTIVATIONS, NetworkSpec, _as_matrix, _patches, patch_columns, patch_gram
 from .gpr import gpr_predict
 from .rng import stream
 
@@ -260,7 +260,7 @@ def phi_kernels_mc(
     w = np.sqrt(sigma_w2) * rng.standard_normal((paths, S))
     a_dec = np.exp(-omega_w * h)
     noise_sd = np.sqrt(sigma_w2 * (1.0 - a_dec**2))
-    XpT = Xp.transpose(2, 1, 0).reshape(S, Nw * n) / np.sqrt(spec._input_divisor)  # column i * n + m: patch i of x_m
+    XpT = patch_columns(Xp) / np.sqrt(spec._input_divisor)
     T = grid.steps
     acts = np.empty((T + 1, paths, Nw, n))
     for j in range(T + 1):
@@ -398,7 +398,7 @@ def limit_checks(trajectory, grid: TimeGrid, Theta0, K_gp, y, kappa2: float, eta
     """Compare a trajectory against its two analytic limits.
 
     (a) short time: NTK flow with Theta0 at rate eta over
-        t <= 0.1 / (eta ||Theta0||);
+        0 < t <= 0.1 / (eta ||Theta0||), nan when no grid point falls there;
     (b) late time: the GPR mean with kernel ``K_gp`` and ridge kappa2.
     """
     trajectory = np.asarray(trajectory, dtype=float)
@@ -407,10 +407,13 @@ def limit_checks(trajectory, grid: TimeGrid, Theta0, K_gp, y, kappa2: float, eta
     y = np.asarray(y, dtype=float)
     norm = float(np.linalg.norm(Theta0, 2))
     t_window = 0.1 / (eta * norm)
-    in_window = grid.times <= t_window
-    ntk = ntk_flow(Theta0, y, np.zeros_like(y), eta, grid)
-    scale = float(np.max(np.abs(ntk[in_window]))) or 1.0
-    ntk_dev = float(np.max(np.abs(trajectory[in_window] - ntk[in_window]))) / scale
+    # at t = 0 both sides are 0 up to rounding, which says nothing
+    in_window = (grid.times > 0.0) & (grid.times <= t_window)
+    ntk_dev = math.nan
+    if in_window.any():
+        ntk = ntk_flow(Theta0, y, np.zeros_like(y), eta, grid)[in_window]
+        scale = float(np.max(np.abs(ntk))) or 1.0
+        ntk_dev = float(np.max(np.abs(trajectory[in_window] - ntk))) / scale
 
     gpr_mean = gpr_predict(K_gp, K_gp, np.diag(K_gp), y, kappa2).mean
     devs = np.linalg.norm(trajectory - gpr_mean[None, :], axis=1)

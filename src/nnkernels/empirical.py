@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ACTIVATIONS, NetworkSpec, ntk_kernel_2layer
+from .kernels import ACTIVATIONS, NetworkSpec, ntk_kernel_2layer, patch_columns
 from .rng import stream
 from .spectral import DataMeasure
 
@@ -79,10 +79,9 @@ def langevin_train(
     U = (1/2) sum (f - y)^2 + (T/(2 chi)) |theta|^2; each listed seed
     runs an independent chain initialised from the prior.
 
-    Inputs are laid out once as patch columns, an (S, N_w * n) matrix
-    whose column i * n + m is patch i of input m, so that every
-    contraction of a step is a matrix product batched over the chain
-    axis (never one product across chains, so a chain's numbers do not
+    Inputs are laid out once as patch columns (``patch_columns``), so
+    that every contraction of a step is a matrix product batched over the
+    chain axis (never one product across chains, so a chain's numbers do not
     depend on its place in ``cfg.seeds``).  Chain k draws from its own
     stream, ``stream(seeds[k], "langevin")``: input weights (C, S), then
     readout (N_w, C), then per step C * S + N_w * C normals, input-weight
@@ -110,10 +109,7 @@ def langevin_train(
     eta = cfg.step_size
     noise_sd = math.sqrt(2.0 * T_eff * eta)
 
-    def columns(Z):
-        return Z.reshape(Z.shape[0], Nw, S).transpose(2, 1, 0).reshape(S, Nw * Z.shape[0])
-
-    Xc, Xc_test = columns(X), columns(X_test)
+    Xc, Xc_test = (patch_columns(Z.reshape(Z.shape[0], Nw, S)) for Z in (X, X_test))
     XcT = np.ascontiguousarray(Xc.T)
     n_seeds = len(cfg.seeds)
 

@@ -142,7 +142,6 @@ class KernelMatrix:
     """Symmetric PSD Gram matrix on a point set."""
 
     entries: np.ndarray
-    clipped_eigenvalue: float = 0.0
 
     def __post_init__(self) -> None:
         A = np.asarray(self.entries, dtype=float)
@@ -198,6 +197,14 @@ def _patches(X: np.ndarray, input_dim: int, patch_count: int) -> np.ndarray:
     if d != input_dim:
         raise ValueError("input dimension mismatch")
     return X.reshape(n, patch_count, d // patch_count)
+
+
+def patch_columns(Xp: np.ndarray) -> np.ndarray:
+    """(n, N_w, S) input patches as one (S, N_w * n) matrix whose column
+    ``i * n + m`` is patch i of input m, so that one matrix product applies
+    a first-layer weight to every patch of every input."""
+    n, Nw, S = Xp.shape
+    return Xp.transpose(2, 1, 0).reshape(S, Nw * n)
 
 
 def _patch_sum(X: np.ndarray, input_dim: int, patch_count: int, term) -> np.ndarray:
@@ -309,8 +316,7 @@ def _forward(spec: NetworkSpec, Xp: np.ndarray, rng: np.random.Generator, n_samp
         raise ValueError("depth > 2 Monte Carlo supports fully connected nets only")
     C = spec.channels
     sigma = ACTIVATIONS[spec.activation].sigma
-    # the patches as (S, N_w * n) columns: the first layer's input, shared by every sample
-    hT = Xp.transpose(2, 1, 0).reshape(Xp.shape[2], -1)
+    hT = patch_columns(Xp)  # the first layer's input, shared by every sample
     div = spec._input_divisor
     for _ in range(spec.depth - 1):
         if hT.shape[-2] > hT.shape[-1]:

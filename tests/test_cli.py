@@ -100,6 +100,17 @@ class TestConfigHandling:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [(c, k) for c, schema in cli.SCHEMAS.items() for k, (_, _, choices) in schema.items() if choices],
+    )
+    def test_value_outside_allowed_set_exit_2(self, tmp_path, command, key):
+        required = [f"{k}=1" for k, (_, default, _) in cli.SCHEMAS[command].items() if default is cli.REQUIRED]
+        overrides = [arg for kv in [*required, f"{key}=banana"] for arg in ("--override", kv)]
+        code, out = run_cli(tmp_path, command, *overrides)
+        assert code == 2
+        assert not out.exists()
+
     def test_compare_gpr_vs_train_spectral_target_exit_2(self, tmp_path):
         code, _ = run_cli(tmp_path, "compare", "--override", "target.kind=aligned")
         assert code == 2
@@ -245,6 +256,19 @@ class TestOutputs:
         _, out2 = run_cli(tmp_path / "b", *args)
         assert read_all(out1) == read_all(out2)
 
+    def test_rg_mode_counts_absorbed_mass_in_D(self, tmp_path):
+        # at P = 16 and 32 the flow absorbs tail modes; their target mass is
+        # unlearned, so it is a source of D as on the effective-ridge path
+        sweep = ["--override", "target.kind=uniform", "--override", "sweep.p_min=16",
+                 "--override", "sweep.p_max=32", "--override", "sweep.p_count=2"]
+        tables = {}
+        for mode in ("effective", "rg"):
+            code, out = run_cli(tmp_path / mode, "curve", *sweep, "--override", f"curve.ridge_mode={mode}")
+            assert code == 0
+            tables[mode] = np.loadtxt(out / "results.csv", delimiter=",", skiprows=1)
+        D_eff, D_rg = tables["effective"][:, 2], tables["rg"][:, 2]
+        assert np.all(np.abs(D_rg - D_eff) < 1e-3 * D_eff)
+
     def test_rg_summary_identity(self, tmp_path):
         # a deep spectrum is needed for the learnability crossing to exist
         code, out = run_cli(
@@ -372,6 +396,30 @@ class TestDataFile:
         table = np.loadtxt(out / "results.csv", delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 1], post.mean)
         assert np.array_equal(table[:, 2], post.variance)
+
+    @pytest.mark.parametrize(
+        "args",
+        [  # SMALL_TRAIN[4:] drops its data.d and data.n; the test sets both for the file
+            ["train", *SMALL_TRAIN[4:], "--override", "train.temperature=0.05"],
+            ["dynamics", "--override", "dyn.kappa2=0.5", "--override", "dyn.steps=20"],
+            ["compare", *SMALL_TRAIN[4:], "--override", "compare.tolerance=10"],
+        ],
+        ids=["train", "dynamics", "compare"],
+    )
+    def test_commands_follow_file_labels(self, tmp_path, args):
+        X = self.write_points(tmp_path / "a.csv", header="a,b,y")
+        b = tmp_path / "b.csv"
+        b.write_text("a,b,y\n" + "".join(f"{u!r},{v!r},{100.0 + k!r}\n" for k, (u, v) in enumerate(X[:, :2].tolist())))
+        tables = []
+        for name in ("a.csv", "b.csv"):
+            code, out = run_cli(
+                tmp_path / name.replace(".", "_"), *args, "--override", f"data.file={tmp_path / name}",
+                "--override", "data.label_column=y", "--override", "data.d=2", "--override", "data.n=12",
+            )
+            assert code in (0, 1)
+            assert "test_mse" not in textio.read_kv(out / "summary.kv")
+            tables.append((out / "results.csv").read_bytes())
+        assert tables[0] != tables[1]
 
     @pytest.mark.parametrize("text", [None, "", "a,b,y\n", "1,2\n3\n", "1,2\n3,x\n", "a,b\n1,2,3\n"])
     def test_unreadable_file_exit_2(self, tmp_path, text):

@@ -186,6 +186,19 @@ class TestMSRDJ:
         assert report.gpr_final_rel_dev < 1e-3
         assert report.gpr_dev_monotone_after_transient
 
+    def test_ntk_window_without_a_step_reports_nan(self):
+        # the window ends before the first step after t = 0, where both sides are 0 up to rounding
+        spec, X, y = make_problem(P=6)
+        chi, kappa2, sigma2, eta = 1e7, 0.01, 1.0, 0.2
+        grid = TimeGrid.uniform(50.0, 20)
+        Phi, dPhi = dynamics.phi_kernels(spec, X, grid, eta, kappa2, chi, sigma2, sigma2)
+        Kx = kernels.patch_gram(X, spec)
+        f = dynamics.msrdj_mean_predictor(Phi, dPhi, Kx, y, grid, eta, kappa2, chi, sigma2, sigma2)
+        Theta0 = dynamics.msrdj_theta0(Phi, dPhi, Kx, sigma2, chi)
+        report = dynamics.limit_checks(f, grid, Theta0, sigma2 * Phi.lag_values[0], y, kappa2, eta)
+        assert report.ntk_window_end < grid.h
+        assert np.isnan(report.ntk_max_rel_dev)
+
     def test_zero_noise_limit_equals_ntk_flow(self):
         # kappa2 = 0: no OU decay, memory kernel is constant, dynamics
         # reduce to gradient flow in Theta0

@@ -150,6 +150,15 @@ def assert_sampler_matches_reference(spec, X, samples, seed):
     assert mc_agree(f[:, :, None] * f[:, None, :], scale * G)
 
 
+def test_patch_columns_layout():
+    Xp = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)  # (n, N_w, S)
+    cols = kernels.patch_columns(Xp)
+    assert cols.shape == (4, 6)
+    for m in range(2):
+        for i in range(3):
+            assert np.array_equal(cols[:, i * 2 + m], Xp[m, i])
+
+
 class TestMCSampler:
     @pytest.mark.parametrize("depth", [3, 4])
     @pytest.mark.parametrize("activation", ["relu", "erf"])
