@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import ACTIVATIONS, NetworkSpec, _as_matrix, _patches, patch_columns, patch_gram
+from .kernels import ACTIVATIONS, NetworkSpec, _patches, patch_columns, patch_gram
 from .gpr import gpr_predict
 from .rng import stream
 
@@ -115,7 +115,7 @@ def ntk_flow(Theta_D, y, f0, gamma: float, grid: TimeGrid, theta_star=None, f0_t
     kernel block is supplied, also the test trajectory obtained by
     integrating the test-point ODE through the same eigenbasis.
     """
-    Theta_D = _as_matrix(Theta_D)
+    Theta_D = np.asarray(Theta_D, dtype=float)
     y = np.asarray(y, dtype=float)
     f0 = np.broadcast_to(np.asarray(f0, dtype=float), y.shape)
     lam, V = np.linalg.eigh(Theta_D)
@@ -277,7 +277,7 @@ def phi_kernels_mc(
 
 def msrdj_theta0(Phi: TwoTimeKernel, dPhi: TwoTimeKernel, Kx, sigma_a2: float, chi: float) -> np.ndarray:
     """Equal-time kernel driving the t -> 0 slope of the integral equation."""
-    Kx = _as_matrix(Kx)
+    Kx = np.asarray(Kx, dtype=float)
     return Phi.lag_values[0] + (sigma_a2 / (2.0 * chi)) * dPhi.lag_values[0] * Kx
 
 
@@ -302,7 +302,7 @@ def msrdj_mean_predictor(
     decaying recursion per term of M (``_term_march``); otherwise each
     step contracts M's lag values with the whole history.
     """
-    Kx = _as_matrix(Kx)
+    Kx = np.asarray(Kx, dtype=float)
     y = np.asarray(y, dtype=float)
     P = y.shape[0]
     h = grid.h
@@ -402,8 +402,8 @@ def limit_checks(trajectory, grid: TimeGrid, Theta0, K_gp, y, kappa2: float, eta
     (b) late time: the GPR mean with kernel ``K_gp`` and ridge kappa2.
     """
     trajectory = np.asarray(trajectory, dtype=float)
-    Theta0 = _as_matrix(Theta0)
-    K_gp = _as_matrix(K_gp)
+    Theta0 = np.asarray(Theta0, dtype=float)
+    K_gp = np.asarray(K_gp, dtype=float)
     y = np.asarray(y, dtype=float)
     norm = float(np.linalg.norm(Theta0, 2))
     t_window = 0.1 / (eta * norm)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ACTIVATIONS, NetworkSpec, ntk_kernel_2layer, patch_columns
+from .kernels import ACTIVATIONS, NetworkSpec, _patches, ntk_kernel_2layer, patch_columns
 from .rng import stream
 from .spectral import DataMeasure
 
@@ -98,9 +98,8 @@ def langevin_train(
         raise ValueError("Langevin oracle implemented for depth-2 networks")
     if spec.bias_var != 0:
         raise ValueError("Langevin oracle samples bias-free networks; bias_var must be 0")
-    X = np.asarray(X, dtype=float)
+    X, X_test = (_patches(Z, spec.input_dim, spec.patch_count) for Z in (X, X_test))
     y = np.asarray(y, dtype=float)
-    X_test = np.asarray(X_test, dtype=float)
     Nw, S, C = spec.patch_count, spec.patch_size, spec.channels
     sigma, dsigma = ACTIVATIONS[spec.activation].sigma, ACTIVATIONS[spec.activation].dsigma
     c_in = math.sqrt(spec.weight_var / spec._input_divisor)
@@ -109,7 +108,7 @@ def langevin_train(
     eta = cfg.step_size
     noise_sd = math.sqrt(2.0 * T_eff * eta)
 
-    Xc, Xc_test = (patch_columns(Z.reshape(Z.shape[0], Nw, S)) for Z in (X, X_test))
+    Xc, Xc_test = map(patch_columns, (X, X_test))
     XcT = np.ascontiguousarray(Xc.T)
     n_seeds = len(cfg.seeds)
 

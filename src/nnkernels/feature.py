@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves
-from .kernels import _as_matrix
 
 ERF_OVERLAP = 4.0 / (3.0 * np.pi)
 
@@ -240,7 +239,7 @@ def ondata_adaptation_fixed_point(K, y, chi: float, N: float, kappa2: float):
     bracket [1, 2^k] and solves it.  Raises ``ValueError`` if no bracket is found
     within the growth cap.
     """
-    K = _as_matrix(K)
+    K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     P = y.shape[0]
     mu, V = np.linalg.eigh(K)
@@ -255,7 +254,7 @@ def ondata_adaptation_fixed_point(K, y, chi: float, N: float, kappa2: float):
 
 def ondata_pre_woodbury_residual(K, y, t, chi: float, N: float, kappa2: float) -> float:
     """Residual of the un-reduced form t = [[K^{-1} - (chi/N) t t^T]^{-1} + (kappa2/P) I]^{-1} y."""
-    K = _as_matrix(K)
+    K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     P = y.shape[0]
     inner = np.linalg.inv(np.linalg.inv(K) - (chi / N) * np.outer(t, t))

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import _as_matrix
 from .spectral import PSEUDO_INVERSE_RTOL
 
 
@@ -65,7 +64,7 @@ def gpr_predict(K_D, k_star, K_star_diag, y, kappa2: float) -> GPRPosterior:
     ``kappa2 = 0`` uses a pseudo-inverse when the kernel is rank
     deficient; the posterior then carries the detected rank.
     """
-    K_D = _as_matrix(K_D)
+    K_D = np.asarray(K_D, dtype=float)
     y = np.asarray(y, dtype=float)
     P = y.shape[0]
     k_star = np.asarray(k_star, dtype=float).reshape(-1, P) if P else np.zeros((np.size(K_star_diag), 0))
@@ -114,7 +113,7 @@ def ntk_infinite_time(Theta_D, theta_star, y, f0_train, f0_test):
 
     Averaged over initialization draws ``f0``, I0 has zero mean.
     """
-    Theta_D = _as_matrix(Theta_D)
+    Theta_D = np.asarray(Theta_D, dtype=float)
     y = np.asarray(y, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float).reshape(-1, y.shape[0])
     f0_train = np.asarray(f0_train, dtype=float)

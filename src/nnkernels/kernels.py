@@ -160,32 +160,11 @@ class KernelMatrix:
         return np.asarray(self.entries, dtype=dtype)
 
 
-def _as_matrix(K) -> np.ndarray:
-    return K.entries if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
-
-
-def _on_covariance(activation: str, H: np.ndarray, derivative: bool) -> np.ndarray:
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unsupported activation {activation!r}")
-    act = ACTIVATIONS[activation]
-    H = np.asarray(H, dtype=float)
+def _pair_moment(pair: Callable, H: np.ndarray) -> np.ndarray:
+    """``pair``, an ``Activation.pair`` or ``.dpair``, on the covariance ``H``
+    over points, whose diagonal holds the marginal variances."""
     h = np.diag(H)
-    return (act.dpair if derivative else act.pair)(h[:, None], h[None, :], H)
-
-
-def pair_expectation(activation: str, H: np.ndarray) -> np.ndarray:
-    """E[act(u) act(v)] for (u, v) jointly Gaussian with covariance ``H``.
-
-    ``H`` is a full covariance matrix over points; the diagonal supplies
-    the marginal variances.  Closed forms: linear is the identity, erf is
-    the arcsine kernel, relu the first arc-cosine kernel.
-    """
-    return _on_covariance(activation, H, derivative=False)
-
-
-def derivative_pair_expectation(activation: str, H: np.ndarray) -> np.ndarray:
-    """E[act'(u) act'(v)] under the same joint Gaussian as above."""
-    return _on_covariance(activation, H, derivative=True)
+    return pair(h[:, None], h[None, :], H)
 
 
 def _patches(X: np.ndarray, input_dim: int, patch_count: int) -> np.ndarray:
@@ -207,20 +186,24 @@ def patch_columns(Xp: np.ndarray) -> np.ndarray:
     return Xp.transpose(2, 1, 0).reshape(S, Nw * n)
 
 
-def _patch_sum(X: np.ndarray, input_dim: int, patch_count: int, term) -> np.ndarray:
-    """Sum over the patches X_i (each n x S) of checked inputs of ``term(X_i)``."""
-    Xp = _patches(X, input_dim, patch_count)
-    K = np.zeros((Xp.shape[0], Xp.shape[0]))
-    for i in range(patch_count):
-        K += term(Xp[:, i, :])
+def _patch_mean(Xp: np.ndarray, Yp: np.ndarray, divisor: float, term: Callable, scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the mean over patches i of ``term(G_i)``, where
+    G_i = Y_i X_i^T / divisor is patch i's Gram matrix and X_i, Y_i are the
+    (n, S) slices of ``Xp``, ``Yp``: ``Yp`` is ``Xp`` for the Euclidean Gram
+    and ``Xp @ Sigma`` for the one weighted by a covariance ``Sigma``."""
+    grams = (Yp[:, i] @ Xp[:, i].T / divisor for i in range(Xp.shape[1]))
+    K = term(next(grams))
+    for G in grams:
+        K += term(G)
+    K *= scale
+    K /= Xp.shape[1]
     return K
 
 
 def patch_gram(X: np.ndarray, spec: NetworkSpec) -> np.ndarray:
     """Input-layer kernel: per-patch Gram averaged over patches."""
     Xp = _patches(X, spec.input_dim, spec.patch_count)
-    G = np.einsum("mis,nis->mn", Xp, Xp) / (spec.patch_count * spec._input_divisor)
-    return 0.5 * (G + G.T)
+    return _patch_mean(Xp, Xp, spec._input_divisor, lambda G: G)
 
 
 def nngp_kernel(spec: NetworkSpec, X: np.ndarray) -> KernelMatrix:
@@ -230,21 +213,23 @@ def nngp_kernel(spec: NetworkSpec, X: np.ndarray) -> KernelMatrix:
     through the activation's Gaussian pair expectation at preactivation
     covariance ``sigma_w^2 * K``; the readout multiplies by
     ``sigma_a^2 / chi``.  For a CNN the independent readout weights kill
-    cross-patch terms, so the pair expectation acts on each per-patch
-    Gram and the result is averaged over patches (for a linear
+    cross-patch terms, so the recursion acts on each per-patch Gram and
+    the result is averaged over patches (Novak et al. 2019; for a linear
     activation this coincides with activating the patch-averaged Gram).
     """
-    if spec.patch_count > 1:
-        if spec.depth != 2:
-            raise ValueError("CNN NNGP implemented for depth 2 only")
-        K = _patch_sum(X, spec.input_dim, spec.patch_count, lambda Xi: pair_expectation(
-            spec.activation, spec.weight_var * (Xi @ Xi.T / spec._input_divisor) + spec.bias_var
-        ))
-        return KernelMatrix((spec.readout_var / spec.chi) * K / spec.patch_count)
-    G = patch_gram(X, spec)
-    for _ in range(spec.depth - 1):
-        G = pair_expectation(spec.activation, spec.weight_var * G + spec.bias_var)
-    return KernelMatrix((spec.readout_var / spec.chi) * G)
+    if spec.patch_count > 1 and spec.depth != 2:
+        raise ValueError("CNN NNGP implemented for depth 2 only")
+    pair = ACTIVATIONS[spec.activation].pair
+
+    def term(K):
+        for _ in range(spec.depth - 1):
+            K *= spec.weight_var  # in place: the patch Gram is not used again
+            K += spec.bias_var
+            K = _pair_moment(pair, K)
+        return K
+
+    Xp = _patches(X, spec.input_dim, spec.patch_count)
+    return KernelMatrix(_patch_mean(Xp, Xp, spec._input_divisor, term, spec.readout_var / spec.chi))
 
 
 def ntk_kernel_2layer(spec: NetworkSpec, X: np.ndarray) -> KernelMatrix:
@@ -258,15 +243,14 @@ def ntk_kernel_2layer(spec: NetworkSpec, X: np.ndarray) -> KernelMatrix:
     """
     if spec.depth != 2:
         raise ValueError("NTK closed form implemented for depth 2 only")
+    act = ACTIVATIONS[spec.activation]
 
-    def term(Xi):
-        Kxi = Xi @ Xi.T / spec._input_divisor
-        H = spec.weight_var * Kxi + spec.bias_var
-        Phi = pair_expectation(spec.activation, H)
-        return Phi + spec.weight_var * derivative_pair_expectation(spec.activation, H) * Kxi
+    def term(Kx):
+        H = spec.weight_var * Kx + spec.bias_var
+        return _pair_moment(act.pair, H) + spec.weight_var * _pair_moment(act.dpair, H) * Kx
 
-    Theta = _patch_sum(X, spec.input_dim, spec.patch_count, term)
-    return KernelMatrix((spec.readout_var / spec.chi) * Theta / spec.patch_count)
+    Xp = _patches(X, spec.input_dim, spec.patch_count)
+    return KernelMatrix(_patch_mean(Xp, Xp, spec._input_divisor, term, spec.readout_var / spec.chi))
 
 
 def adapted_kernel_erf(Sigma: np.ndarray, X: np.ndarray, patch_count: int = 1) -> KernelMatrix:
@@ -282,13 +266,16 @@ def adapted_kernel_erf(Sigma: np.ndarray, X: np.ndarray, patch_count: int = 1) -
     Sigma = np.asarray(Sigma, dtype=float)
     if np.max(np.abs(Sigma - Sigma.T)) > 1e-10 * (np.max(np.abs(Sigma)) or 1.0):
         raise ValueError("Sigma must be symmetric")
-    evals = np.linalg.eigvalsh(Sigma)
+    _check_psd(Sigma)
+    Xp = _patches(X, patch_count * Sigma.shape[0], patch_count)
+    return KernelMatrix(_patch_mean(Xp, Xp @ Sigma, 1.0, lambda G: _pair_moment(ACTIVATIONS["erf"].pair, G)))
+
+
+def _check_psd(Sigma: np.ndarray) -> None:
+    """Raises unless the symmetric part of ``Sigma`` is positive semi-definite."""
+    evals = np.linalg.eigvalsh(0.5 * (Sigma + Sigma.T))
     if evals.size and evals[0] < -1e-10 * max(evals[-1], 1.0):
         raise ValueError("Sigma must be positive semi-definite")
-    K = _patch_sum(
-        X, patch_count * Sigma.shape[0], patch_count, lambda Xi: pair_expectation("erf", Xi @ Sigma @ Xi.T)
-    )
-    return KernelMatrix(K / patch_count)
 
 
 #: Bytes allowed for each per-block array of ``empirical_kernel_mc``
@@ -375,9 +362,7 @@ def wick_moment(mu: np.ndarray, Sigma: np.ndarray, indices) -> float:
         raise ValueError("moment order capped at 8")
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    evals = np.linalg.eigvalsh(0.5 * (Sigma + Sigma.T))
-    if evals.size and evals[0] < -1e-10 * max(evals[-1], 1.0):
-        raise ValueError("Sigma must be positive semi-definite")
+    _check_psd(Sigma)
 
     def rec(rest: tuple) -> float:
         if not rest:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _as_matrix
 
 #: eigenvalues below this fraction of the top one count as null space
 PSEUDO_INVERSE_RTOL = 1e-12
@@ -68,7 +67,7 @@ class SpectralDecomposition:
 
 def _weighted(K, measure: DataMeasure):
     """K as an array, the support mask, sqrt of its weights, and W^{1/2} K W^{1/2} on it."""
-    K = _as_matrix(K)
+    K = np.asarray(K, dtype=float)
     if K.shape[0] != measure.n:
         raise ValueError("kernel and measure point counts differ")
     w = measure.weights

@@ -13,16 +13,6 @@ import tempfile
 import numpy as np
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def atomic_write_text(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
@@ -43,7 +33,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _column_text(col) -> list[str]:
-    """One column's values as text, by dtype; the same strings ``_fmt`` gives."""
+    """One column's values as text, by dtype: bools as true/false, floats
+    by their shortest round-trip repr, everything else by ``str``."""
     col = np.asarray(col)
     values = col.tolist()
     if col.dtype.kind == "b":
@@ -99,7 +90,7 @@ def _is_float(s: str) -> bool:
 
 
 def write_kv(path: str, mapping: dict) -> None:
-    lines = [f"{k}: {_fmt(v)}" for k, v in mapping.items()]
+    lines = [f"{k}: {_column_text([v])[0]}" for k, v in mapping.items()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

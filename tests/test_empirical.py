@@ -283,6 +283,15 @@ class TestLangevin:
         with pytest.raises(ValueError, match="bias_var"):
             empirical.langevin_train(spec, np.ones((2, 4)), np.ones(2), np.ones((1, 4)), cfg)
 
+    @pytest.mark.parametrize("where", ["train", "test"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_inputs_rejected(self, where, bad):
+        spec, X, y, X_test = self.small_problem()
+        (X if where == "train" else X_test)[1, 2] = bad
+        cfg = TrainingConfig(step_size=0.01, temperature=0.05, steps=20, burn_in=5)
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            empirical.langevin_train(spec, X, y, X_test, cfg)
+
     def test_suggest_step_size_scales(self):
         spec, X, y, _ = self.small_problem()
         assert empirical.suggest_step_size(spec, X, safety=0.1) == pytest.approx(

@@ -75,6 +75,20 @@ class TestNNGP:
         G = np.einsum("nis,mis->nm", Xp, Xp) / (Nw * (d // Nw))
         assert np.allclose(K, G, atol=1e-12)
 
+    @pytest.mark.parametrize("activation", ["erf", "relu"])
+    @pytest.mark.parametrize("Nw", [2, 3])
+    @pytest.mark.parametrize("kernel", [kernels.nngp_kernel, kernels.ntk_kernel_2layer])
+    def test_cnn_nonlinear_patch_average(self, activation, Nw, kernel):
+        # without pooling a CNN kernel is the mean of the FC kernels of its patches
+        S = 4
+        params = dict(depth=2, activation=activation, weight_var=1.7, readout_var=0.8, chi=1.3, bias_var=0.2)
+        spec = NetworkSpec(input_dim=Nw * S, patch_count=Nw, **params)
+        X = np.random.default_rng(3).standard_normal((6, Nw * S))
+        Xp = X.reshape(6, Nw, S)
+        fc = NetworkSpec(input_dim=S, **params)
+        mean = sum(kernel(fc, Xp[:, i]).entries for i in range(Nw)) / Nw
+        assert np.allclose(kernel(spec, X).entries, mean, rtol=1e-13, atol=1e-14)
+
     def test_cnn_mc_oracle(self):
         d, Nw = 8, 2
         spec = NetworkSpec(depth=2, input_dim=d, patch_count=Nw, activation="erf")

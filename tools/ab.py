@@ -16,11 +16,13 @@ side's median and quartiles (``statistics.quantiles``, inclusive), the
 pairs each side won, the parent's quartile spread relative to its
 median, and whether the change's median is within the metric's bound.
 
-``--claim`` adds the gain rule: the change wins at least nine tenths of
-the pairs and its median beats the parent's by more than the parent's
+``--claim`` adds the gain rule: every run is correct, the change fails no
+more operations than the parent, it wins at least nine tenths of the
+pairs run and its median beats the parent's by more than the parent's
 quartile spread.  ``--traced`` adds one ``--trace 1`` run per side of
 that workload (seed 0) with its per-layer metrics and self-time table.
-The extracted trees are removed when the runs end.
+Workload and metric names are checked against BENCHMARK.json before any
+run starts.  The extracted trees are removed when the runs end.
 """
 
 from __future__ import annotations
@@ -131,19 +133,34 @@ def environment() -> dict:
 
 
 def claim(record: dict, spec: str) -> dict:
+    """The gain rule on ``spec`` (WORKLOAD:METRIC): wins are counted against
+    every pair run, and a claim with an incorrect run, or with more failed
+    operations on the change than on the parent, is not met."""
     workload, metric = spec.split(":")
-    s = record["workloads"][workload]["stats"][metric]
+    w = record["workloads"][workload]
+    s = w["stats"][metric]
+    pairs = len(w["pairs"])
     spread = s["parent_iqr_rel"] * s["parent"]["median"]
     gain = s["parent"]["median"] - s["change"]["median"]
     return {
         "workload": workload,
         "metric": metric,
-        "rule": "change wins at least 9 of 10 pairs and the median falls by more than the parent's quartile spread",
+        "rule": (
+            "every run correct, no more failed operations than the parent, the change wins at least 9 of "
+            "10 pairs run and the median falls by more than the parent's quartile spread"
+        ),
         "change_wins": s["change_wins"],
-        "pairs": s["pairs"],
+        "pairs": pairs,
+        "all_correct": w["all_correct"],
+        "failed": w["failed"],
         "median_change_rel": s["median_change_rel"],
         "parent_iqr_rel": s["parent_iqr_rel"],
-        "met": s["change_wins"] >= math.ceil(0.9 * s["pairs"]) and gain > spread,
+        "met": (
+            w["all_correct"]
+            and w["failed"]["change"] <= w["failed"]["parent"]
+            and s["change_wins"] >= math.ceil(0.9 * pairs)
+            and gain > spread
+        ),
     }
 
 
@@ -165,6 +182,14 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     if args.pairs < 1 or args.seed < 0:
         ap.error("--pairs must be positive and --seed non-negative")
+    names = {w["name"] for w in bench["workloads"]}
+    unknown = [w for w in workloads + [args.traced] if w and w not in names]
+    if unknown:
+        ap.error(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json has {', '.join(sorted(names))}")
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in workloads or metric not in {m["name"] for m in bench["end_to_end"]}:
+            ap.error(f"--claim {args.claim!r} must name a workload that runs and an end-to-end metric of BENCHMARK.json")
     shas = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}") for side, rev in zip(SIDES, (args.parent, args.change))}
     trees = {}
     try:
