@@ -190,7 +190,8 @@ def _patch_mean(Xp: np.ndarray, Yp: np.ndarray, divisor: float, term: Callable, 
     """``scale`` times the mean over patches i of ``term(G_i)``, where
     G_i = Y_i X_i^T / divisor is patch i's Gram matrix and X_i, Y_i are the
     (n, S) slices of ``Xp``, ``Yp``: ``Yp`` is ``Xp`` for the Euclidean Gram
-    and ``Xp @ Sigma`` for the one weighted by a covariance ``Sigma``."""
+    and ``Xp @ Sigma`` for the one weighted by a covariance ``Sigma``.
+    ``term`` may overwrite G_i, and the array it returns is overwritten."""
     grams = (Yp[:, i] @ Xp[:, i].T / divisor for i in range(Xp.shape[1]))
     K = term(next(grams))
     for G in grams:
