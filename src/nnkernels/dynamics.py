@@ -46,10 +46,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .kernels import ACTIVATIONS, NetworkSpec, _patches, patch_columns, patch_gram
-from .gpr import gpr_predict
+from .kernels import ACTIVATIONS, NetworkSpec, _mc_blocks, _patches, patch_columns, patch_gram
+from .gpr import _plus_diagonal, _solve_psd, gpr_predict
 from .rng import stream
 
 #: truncation error of an erf kernel's exponential terms: the series stops
@@ -246,32 +245,34 @@ def phi_kernels_mc(
     """Monte-Carlo estimate of Phi by simulating stationary OU weight paths.
 
     Phi is the per-patch activation Gram averaged over patches.  Lag l
-    averages act(t + l) act(t)^T over every time t, path and patch, as
-    one product of the stacked activations.  The paths draw from
-    ``stream(seed, "ou_paths")``: the initial weights, then one (paths, S)
-    block of OU noise per time step after the first.
+    averages act(t + l) act(t)^T over every time t, path and patch.  Paths
+    run in blocks whose (T + 1, paths, N_w, n) activations fit in
+    ``kernels.MC_BLOCK_BYTES``; block b draws from ``stream(seed, "ou_paths", b)``
+    its initial weights, then one (paths, S) block of OU noise per step.
     """
     sigma = ACTIVATIONS[spec.activation].sigma
     Xp = _patches(X, spec.input_dim, spec.patch_count)
     n, Nw, S = Xp.shape
     omega_w = eta * kappa2 / (sigma_w2 * chi)
     h = grid.h
-    rng = stream(seed, "ou_paths")
-    w = np.sqrt(sigma_w2) * rng.standard_normal((paths, S))
     a_dec = np.exp(-omega_w * h)
     noise_sd = np.sqrt(sigma_w2 * (1.0 - a_dec**2))
     XpT = patch_columns(Xp) / np.sqrt(spec._input_divisor)
     T = grid.steps
-    acts = np.empty((T + 1, paths, Nw, n))
-    for j in range(T + 1):
-        acts[j] = sigma(w @ XpT).reshape(paths, Nw, n)
-        if j < T:
-            w = a_dec * w + noise_sd * rng.standard_normal((paths, S))
-    Phi = np.empty((T + 1, n, n))
-    for lag in range(T + 1):
-        later = acts[lag:].reshape(-1, n)  # rows (time, path, patch), time lag apart
-        earlier = acts[: T + 1 - lag].reshape(-1, n)
-        Phi[lag] = later.T @ earlier / ((T + 1 - lag) * paths * Nw)
+    Phi = np.zeros((T + 1, n, n))
+    for block, count in _mc_blocks(paths, 8 * (T + 1) * Nw * n):
+        rng = stream(seed, "ou_paths", block)
+        w = np.sqrt(sigma_w2) * rng.standard_normal((count, S))
+        acts = np.empty((T + 1, count, Nw, n))
+        for j in range(T + 1):
+            acts[j] = sigma(w @ XpT).reshape(count, Nw, n)
+            if j < T:
+                w = a_dec * w + noise_sd * rng.standard_normal((count, S))
+        for lag in range(T + 1):
+            later = acts[lag:].reshape(-1, n)  # rows (time, path, patch), time lag apart
+            earlier = acts[: T + 1 - lag].reshape(-1, n)
+            Phi[lag] += later.T @ earlier
+    Phi /= ((T + 1 - np.arange(T + 1)) * paths * Nw)[:, None, None]
     return TwoTimeKernel(Phi)
 
 
@@ -295,9 +296,9 @@ def msrdj_mean_predictor(
 ) -> np.ndarray:
     """March the Volterra equation by trapezoidal product integration.
 
-    The current-time slice is treated implicitly (a small linear solve
-    per step); exponential memory factors are evaluated exactly at every
-    lag so stiff decay rates cost nothing in stability.  When both
+    The current-time slice is treated implicitly (``_implicit_step``);
+    exponential memory factors are evaluated exactly at every lag so
+    stiff decay rates cost nothing in stability.  When both
     kernels carry exponential terms, the history sum is carried as one
     decaying recursion per term of M (``_term_march``); otherwise each
     step contracts M's lag values with the whole history.
@@ -319,18 +320,23 @@ def msrdj_mean_predictor(
         * np.exp(-(omega_a + omega_w) * lags)[:, None, None]
         * (dPhi.lag_values * Kx[None, :, :])
     )
-    lhs = np.eye(P) + 0.5 * h * M[0]
-    lu, piv = scipy.linalg.lu_factor(lhs)
-
+    A_inv, source = _implicit_step(M[0], y, h)
     f = np.zeros((grid.steps + 1, P))
     gw = np.zeros((grid.steps + 1, P))  # trapezoid-weighted discrepancies
     gw[0] = 0.5 * (f[0] - y)
     for m in range(1, grid.steps + 1):
         known = np.einsum("jab,jb->a", M[m:0:-1], gw[:m])
-        rhs = -h * known + 0.5 * h * (M[0] @ y)
-        f[m] = scipy.linalg.lu_solve((lu, piv), rhs)
+        f[m] = A_inv @ (-h * known) + source
         gw[m] = f[m] - y
     return f
+
+
+def _implicit_step(M0: np.ndarray, y: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A^{-1}, A^{-1} (h/2) M0 y) for the implicit slice A = I + (h/2) M0, one factor per
+    march; M0 = M(0) is a Gram matrix plus a Schur product of PSD matrices, so A >= I."""
+    P = y.shape[0]
+    sol, _ = _solve_psd(_plus_diagonal(0.5 * h * M0, 1.0), np.column_stack([np.eye(P), 0.5 * h * (M0 @ y)]))
+    return sol[:, :P], sol[:, P]
 
 
 def _term_march(rates: np.ndarray, C: np.ndarray, y: np.ndarray, h: float, steps: int) -> np.ndarray:
@@ -348,14 +354,12 @@ def _term_march(rates: np.ndarray, C: np.ndarray, y: np.ndarray, h: float, steps
     C = np.add.reduceat(C, np.flatnonzero(first), axis=0)
     rates = rates[first]
     P = y.shape[0]
-    M0 = C.sum(axis=0)
-    A_inv = np.linalg.inv(np.eye(P) + 0.5 * h * M0)
+    A_inv, source = _implicit_step(C.sum(axis=0), y, h)
     history = -h * C.transpose(1, 0, 2).reshape(P, -1)  # -h [C_1 ... C_K]
     # high powers of small X0 entries underflow to subnormals, which slow
     # every product with them (a few hundred of 155k entries made a
     # 97-term erf march 2.5x slower); they add nothing above 1e-308
     history[np.abs(history) < np.finfo(float).tiny] = 0.0
-    source = A_inv @ (0.5 * h * (M0 @ y))
     decay = np.exp(-h * rates)[:, None]
     S = np.zeros((rates.size, P))
     f = np.zeros((steps + 1, P))

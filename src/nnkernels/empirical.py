@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gpr import _plus_diagonal, _solve_psd
 from .kernels import ACTIVATIONS, NetworkSpec, _patches, ntk_kernel_2layer, patch_columns
 from .rng import stream
 from .spectral import DataMeasure
@@ -219,7 +220,7 @@ def dataset_averaged_gpr_mc(
     Each draw samples P points as i.i.d. standard-normal feature vectors
     over the given spectrum (K = Phi diag(lam) Phi^T), runs exact GPR,
     and records the predictor in mode space where test-measure integrals
-    are exact sums.
+    are exact sums.  A draw whose K + kappa2 I needs jitter raises LinAlgError.
     """
     if draws < 2:
         raise ValueError("need at least two dataset draws")
@@ -236,14 +237,16 @@ def dataset_averaged_gpr_mc(
     for _ in range(draws):
         Phi = rng.standard_normal((P, M))
         PhiL = Phi * lam
-        K = PhiL @ Phi.T
-        y_D = Phi @ y_k
-        A = K + kappa2 * eyeP
-        c = PhiL.T @ np.linalg.solve(A, y_D)
+        # one factor of A = Phi Lam Phi^T + kappa2 I for both; the variance is not taken as
+        # tr(A^{-1} G), G = (Phi Lam)(Phi Lam)^T, whose rounding A^{-1} amplifies near kappa2
+        sol, jitter = _solve_psd(_plus_diagonal(PhiL @ Phi.T, kappa2), np.column_stack([Phi @ y_k, eyeP]))
+        if jitter:
+            raise np.linalg.LinAlgError("singular dataset draw: kappa2 = 0 needs P <= the number of modes")
+        c = PhiL.T @ sol[:, 0]
         sum_c += c
         sum_c2 += c**2
         loss_sum += float(np.sum((c - y_k) ** 2))
-        post_var_sum += tr_lam - float(np.einsum("mp,pm->", PhiL.T @ np.linalg.inv(A), PhiL))
+        post_var_sum += tr_lam - float(np.vdot(PhiL, sol[:, 1:] @ PhiL))
     mean_c = sum_c / draws
     var_c = sum_c2 / draws - mean_c**2
     return DatasetAveragedGPR(

@@ -148,16 +148,14 @@ def adaptation_solve_linear(
     chi: float,
     P: int,
     kappa_eff2: float,
-    w_star_norm: float = 1.0,
-    a_star_norm: float = 1.0,
     target_coeff: float = 1.0,
 ) -> AdaptationSolution:
     """Input-weight covariance order parameters of the 2-layer linear CNN.
 
     c_perp = 1/S exactly; c_star is the root of
 
-        g(c) = 1/c - S + A/(b c + e)^2,  A = target_coeff chi |a*|^2/(C N_w),
-        b = |w*|^2/N_w,  e = kappa_eff2/P.
+        g(c) = 1/c - S + A/(b c + e)^2,  A = target_coeff chi/(C N_w),
+        b = 1/N_w,  e = kappa_eff2/P  (a teacher with |w*| = |a*| = 1).
 
     g is strictly decreasing for c > 0 and g(c_perp) = A/(b c_perp + e)^2
     >= 0, so the root is unique and lies at or above c_perp (equality iff
@@ -169,13 +167,13 @@ def adaptation_solve_linear(
     if min(S, N_w, C, P) <= 0 or chi < 0 or kappa_eff2 <= 0:
         raise ValueError("sizes must be positive, chi >= 0, kappa_eff2 > 0")
     c_perp = 1.0 / S
-    A = target_coeff * chi / (C * N_w) * a_star_norm**2
-    args = (S, A, w_star_norm**2 / N_w, kappa_eff2 / P)
+    A = target_coeff * chi / (C * N_w)
+    args = (S, A, 1.0 / N_w, kappa_eff2 / P)
     c_star = c_perp
     if _adaptation_residual(c_perp, *args) > 0.0:
         c_star = curves.bracket_root(_adaptation_residual, c_perp, 1.0, lambda c: 2.0 * c, args)
     quad = (c_perp + np.sqrt(c_perp**2 + 4.0 * target_coeff * chi * N_w / (C * S))) / 2.0
-    lam_star = c_star * w_star_norm**2 / N_w
+    lam_star = c_star / N_w
     lam_perp = c_perp / N_w
     return AdaptationSolution(
         c_perp=c_perp,

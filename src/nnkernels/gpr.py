@@ -43,7 +43,8 @@ def _plus_diagonal(A: np.ndarray, c: float) -> np.ndarray:
 
 
 def _solve_psd(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve A X = B for symmetric PSD A via Cholesky with jitter escalation."""
+    """Solve A X = B for symmetric PSD A via Cholesky with jitter escalation:
+    the package's one positive-definite solve.  Returns X and the jitter added."""
     scale = max(float(np.trace(A)) / max(A.shape[0], 1), 1e-300)
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
         try:
@@ -78,25 +79,19 @@ def gpr_predict(K_D, k_star, K_star_diag, y, kappa2: float) -> GPRPosterior:
             train_residuals=np.zeros(0),
         )
 
-    A = _plus_diagonal(K_D, kappa2)
-    rank = None
+    B = np.concatenate([y[:, None], k_star.T], axis=1)
+    rank, jitter = None, 0.0
     if kappa2 == 0.0:
         lam = np.linalg.eigvalsh(K_D)
         tol = PSEUDO_INVERSE_RTOL * max(lam[-1], 0.0)
         rank = int(np.sum(lam > tol))
-        if rank < P:
-            # project out the null space instead of failing outright
-            lam_full, V = np.linalg.eigh(K_D)
-            keep = lam_full > tol
-            inv = V[:, keep] / lam_full[keep] @ V[:, keep].T
-            alpha = inv @ y
-            beta = inv @ k_star.T
-            mean = k_star @ alpha
-            var = K_star_diag - np.einsum("mp,pm->m", k_star, beta)
-            resid = y - K_D @ alpha
-            return GPRPosterior(mean, np.clip(var, 0.0, None), resid, rank=rank)
-
-    sol, jitter = _solve_psd(A, np.concatenate([y[:, None], k_star.T], axis=1))
+    if rank is not None and rank < P:
+        # project out the null space instead of failing outright
+        lam, V = np.linalg.eigh(K_D)
+        keep = lam > tol
+        sol = V[:, keep] / lam[keep] @ (V[:, keep].T @ B)
+    else:
+        sol, jitter = _solve_psd(_plus_diagonal(K_D, kappa2), B)
     alpha, beta = sol[:, 0], sol[:, 1:]
     mean = k_star @ alpha
     var = K_star_diag - np.einsum("mp,pm->m", k_star, beta)
@@ -122,9 +117,8 @@ def ntk_infinite_time(Theta_D, theta_star, y, f0_train, f0_test):
     if lam[0] <= PSEUDO_INVERSE_RTOL * max(lam[-1], 0.0):
         raise SingularKernelError(int(np.sum(lam > PSEUDO_INVERSE_RTOL * lam[-1])), y.shape[0])
     sol, _ = _solve_psd(Theta_D, np.column_stack([y, f0_train]))
-    prediction = theta_star @ sol[:, 0] + f0_test - theta_star @ sol[:, 1]
     I0 = f0_test - theta_star @ sol[:, 1]
-    return prediction, I0
+    return theta_star @ sol[:, 0] + I0, I0
 
 
 def loss_decompose(per_draw_predictions, y, weights) -> LossDecomposition:

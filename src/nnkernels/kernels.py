@@ -279,9 +279,16 @@ def _check_psd(Sigma: np.ndarray) -> None:
         raise ValueError("Sigma must be positive semi-definite")
 
 
-#: Bytes allowed for each per-block array of ``empirical_kernel_mc``
-#: (one sample's layer activations times the block's sample count).
+#: Bytes allowed for each per-block array of ``empirical_kernel_mc`` and
+#: ``dynamics.phi_kernels_mc`` (one sample's activations times the block's count).
 MC_BLOCK_BYTES = 64 << 20
+
+
+def _mc_blocks(total: int, item_bytes: int):
+    """(block index, count) pairs: ``total`` items in blocks of at most ``MC_BLOCK_BYTES``."""
+    size = max(1, MC_BLOCK_BYTES // item_bytes)
+    for block, start in enumerate(range(0, total, size)):
+        yield block, min(size, total - start)
 
 
 def _forward(spec: NetworkSpec, Xp: np.ndarray, rng: np.random.Generator, n_samples: int) -> np.ndarray:
@@ -336,17 +343,10 @@ def empirical_kernel_mc(spec: NetworkSpec, X: np.ndarray, samples: int, seed: in
         raise ValueError("samples must be >= 1")
     Xp = _patches(X, spec.input_dim, spec.patch_count)
     n = Xp.shape[0]
-    per_sample = 8 * n * max(spec.patch_count * spec.channels, spec.input_dim)
-    block_size = max(1, MC_BLOCK_BYTES // per_sample)
     M = np.zeros((n, n))
-    done = 0
-    block = 0
-    while done < samples:
-        b = min(block_size, samples - done)
-        H = _forward(spec, Xp, stream(seed, "kernel_mc", block), b).reshape(-1, n)
+    for block, count in _mc_blocks(samples, 8 * n * max(spec.patch_count * spec.channels, spec.input_dim)):
+        H = _forward(spec, Xp, stream(seed, "kernel_mc", block), count).reshape(-1, n)
         M += H.T @ H
-        done += b
-        block += 1
     return KernelMatrix(M * spec.readout_var / (spec.chi * spec.patch_count * spec.channels * samples))
 
 

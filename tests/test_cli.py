@@ -307,6 +307,24 @@ class TestOutputs:
         learns = [float(r.split(",")[lcol]) for r in rows[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(learns, learns[1:]))
 
+    @pytest.mark.parametrize("activation", ["linear", "erf"])
+    def test_dynamics_checks_ntk_window_on_default_grid(self, tmp_path, activation):
+        # the default grid's first step (2.5) falls after the NTK window
+        # (about 0.15); the check is made on a march over the window alone,
+        # and the deviation tracks the memory decay over it, omega_a t / 2
+        code, out = run_cli(
+            tmp_path, "dynamics", "--override", "data.d=5", "--override", "data.n=10",
+            "--override", "dyn.kappa2=0.5", "--override", "dyn.chi=50",
+            "--override", f"net.activation={activation}",
+        )
+        assert code == 0
+        summary = textio.read_kv(out / "summary.kv")
+        times = [float(r.split(",")[0]) for r in (out / "results.csv").read_text().splitlines()[1:3]]
+        assert times[1] > float(summary["ntk_window_end"])
+        decay = float(summary["ntk_window_decay"])
+        assert decay == pytest.approx(0.5 * float(summary["ntk_window_end"]), rel=1e-15)
+        assert abs(float(summary["ntk_max_rel_dev"]) - decay / 2) < 0.2 * decay / 2
+
     def test_manifest_records_run(self, tmp_path):
         _, out = run_cli(tmp_path, "curve", "--seed", "9")
         manifest = textio.read_kv(out / "manifest.kv")

@@ -136,6 +136,22 @@ class TestPhiKernels:
         Phi_mc = dynamics.phi_kernels_mc(spec, X, grid, 1.0, 0.5, 5.0, 1.0, 200_000, 3)
         assert np.max(np.abs(Phi_mc.lag_values - Phi.lag_values)) < 3e-3
 
+    def test_mc_oracle_over_blocks(self, monkeypatch):
+        # a budget of 1000 paths' activations splits 3000 paths into three
+        # blocks, each with its own stream; over 20 seeds the mean stays
+        # within 5 standard errors of the closed form at every entry
+        spec, X, _ = make_problem(P=3)
+        grid = TimeGrid.uniform(2.0, 4)
+        n, paths = X.shape[0], 3000
+        monkeypatch.setattr(kernels, "MC_BLOCK_BYTES", 8 * (grid.steps + 1) * n * 1000)
+        assert len(list(kernels._mc_blocks(paths, 8 * (grid.steps + 1) * n))) == 3
+        Phi, _ = dynamics.phi_kernels(spec, X, grid, 1.0, 0.5, 5.0, 1.0, 1.0)
+        runs = np.stack(
+            [dynamics.phi_kernels_mc(spec, X, grid, 1.0, 0.5, 5.0, 1.0, paths, seed).lag_values for seed in range(20)]
+        )
+        se = runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
+        assert np.all(np.abs(runs.mean(axis=0) - Phi.lag_values) < 5.0 * se)
+
     def test_mc_deterministic(self):
         spec, X, _ = make_problem(P=3)
         grid = TimeGrid.uniform(1.0, 2)

@@ -1,11 +1,12 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from nnkernels import curves, empirical, gpr, kernels
+from nnkernels import curves, empirical, gpr, kernels, spectral
 from nnkernels.empirical import TrainingConfig
 from nnkernels.rng import stream
 
@@ -332,6 +333,37 @@ class TestDatasetMC:
         # expect ~ 4x reduction; allow a factor-3 band around it
         assert errs[1] < errs[0]
         assert errs[0] / errs[1] > 4.0 / 3.0
+
+    @pytest.mark.parametrize("P, M, ridge", [(16, 256, 0.1), (32, 256, 1e-3), (48, 128, 1e-4)])
+    def test_type_i_variance_matches_extended_precision(self, P, M, ridge):
+        # the per-draw posterior variance tr lam - tr(A^{-1} G), from the same
+        # Phi draws (stream "dataset_mc") on the CLI's default spectrum
+        # (lambda_k = k^-2), against a 40-digit evaluation with kappa2 = ridge lambda_1
+        lam = spectral.powerlaw_spectrum(1.0, 1.0, M)
+        kappa2, draws, seed = ridge * lam[0], 2, 7
+        mc = empirical.dataset_averaged_gpr_mc(lam, np.sqrt(lam), P, kappa2, draws=draws, seed=seed)
+        rng = stream(seed, "dataset_mc")
+        with mpmath.workdps(40):
+            lam_mp = [mpmath.mpf(v) for v in lam.tolist()]
+            total = mpmath.mpf(0)
+            for _ in range(draws):
+                Phi = [[mpmath.mpf(v) for v in row] for row in rng.standard_normal((P, M)).tolist()]
+                PhiL = [[p * l for p, l in zip(row, lam_mp)] for row in Phi]
+                A, G = mpmath.matrix(P, P), mpmath.matrix(P, P)
+                for i in range(P):
+                    for j in range(i + 1):
+                        A[i, j] = A[j, i] = mpmath.fdot(PhiL[i], Phi[j]) + (kappa2 if i == j else 0)
+                        G[i, j] = G[j, i] = mpmath.fdot(PhiL[i], PhiL[j])
+                Ainv = mpmath.inverse(A)
+                total += mpmath.fsum(lam_mp) - mpmath.fsum(Ainv[i, j] * G[j, i] for i in range(P) for j in range(P))
+            ref = float(total / draws)
+        assert abs(mc.type_i_variance - ref) < 1e-10 * ref
+
+    def test_singular_draw_raises(self):
+        # kappa2 = 0 with more points than modes: A = Phi Lam Phi^T has rank 4 of 8
+        lam = np.array([1.0, 0.5, 0.25, 0.125])
+        with pytest.raises(np.linalg.LinAlgError):
+            empirical.dataset_averaged_gpr_mc(lam, np.sqrt(lam), 8, 0.0, draws=2, seed=0)
 
     def test_total_composition(self):
         lam = np.full(10, 0.1)

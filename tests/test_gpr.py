@@ -67,6 +67,20 @@ class TestGPR:
         assert post.rank == d
         assert np.max(np.abs(post.mean - y)) < 1e-8
 
+    def test_rank_deficient_ridgeless_matches_least_squares(self):
+        # K = X X^T of rank d: the pseudo-inverse posterior is the least-squares
+        # fit, X_t (X^T X)^{-1} X^T y, with zero variance at every test point
+        rng = np.random.default_rng(3)
+        X, X_test, y = rng.standard_normal((20, 3)), rng.standard_normal((7, 3)), rng.standard_normal(20)
+        K_star_diag = np.sum(X_test**2, axis=1)
+        post = gpr.gpr_predict(X @ X.T, X_test @ X.T, K_star_diag, y, 0.0)
+        beta = np.linalg.lstsq(X, y, rcond=None)[0]
+        scale = np.max(K_star_diag)
+        assert post.rank == 3
+        assert np.max(np.abs(post.mean - X_test @ beta)) < 1e-14 * scale
+        assert np.max(post.variance) < 1e-14 * scale
+        assert np.max(np.abs(post.train_residuals - (y - X @ beta))) < 1e-14 * scale
+
     def test_posterior_mean_matches_direct_solve(self):
         K_D, k_star, K_diag, y = setup_problem(seed=2)
         post = gpr.gpr_predict(K_D, k_star, K_diag, y, 0.3)
