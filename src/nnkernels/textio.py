@@ -3,17 +3,33 @@
 All numeric output uses '.' decimals, comma separators, LF line ends,
 and repr-round-trip float formatting, so identical runs produce
 byte-identical files.
+
+Tables (``write_csv``, ``write_matrix``) are streamed into the temporary
+file ``BLOCK_ROWS`` rows at a time, so a table is never held as one
+string; the rename that ends the write keeps it atomic, and a write that
+fails leaves neither the file nor its temporary behind.  A float64 table
+whose columns form a bitwise-symmetric square (every kernel matrix) has
+only its upper triangle formatted; each line's lower part is mirrored
+from the rows above it, with the same bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 
 import numpy as np
 
 
-def atomic_write_text(path: str, text: str) -> None:
+#: rows formatted and written per block by the table writer
+BLOCK_ROWS = 4096
+
+
+def atomic_write_text(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of strings, to a temporary
+    file beside ``path`` and rename it over ``path``; on any error the
+    temporary file is removed and ``path`` is left as it was."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
@@ -24,7 +40,7 @@ def atomic_write_text(path: str, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -46,12 +62,39 @@ def _column_text(col) -> list[str]:
     return list(map(str, values))
 
 
-def _table_text(columns) -> list[str]:
-    """The lines of a table given by its columns, which must all be as long."""
-    formatted = [_column_text(c) for c in columns]
-    if len({len(c) for c in formatted}) > 1:
-        raise ValueError(f"columns differ in length: {[len(c) for c in formatted]}")
-    return list(map(",".join, zip(*formatted)))
+def _symmetric_square(columns) -> np.ndarray | None:
+    """The table as an (n, n) float64 matrix when its columns form one that
+    is bitwise symmetric, else None.  Bits, not values: 0.0 == -0.0 but the
+    two print differently, and NaN never equals itself."""
+    if not columns or len(columns) != len(columns[0]) or any(c.dtype != np.float64 for c in columns):
+        return None
+    A = np.column_stack(columns)
+    bits = A.view(np.uint64)
+    return A if np.array_equal(bits, bits.T) else None
+
+
+def _table_lines(columns):
+    """The table's text, given its equally long columns, in LF-ended blocks
+    of ``BLOCK_ROWS`` lines; a bitwise-symmetric float64 square comes one
+    line at a time, each value of its upper triangle formatted once."""
+    A = _symmetric_square(columns)
+    if A is not None:
+        upper = []  # upper[j]: row j's text from column j on
+        for i in range(len(A)):
+            upper.append(_column_text(A[i, i:]))
+            yield ",".join([u[i - j] for j, u in enumerate(upper[:i])] + upper[i]) + "\n"
+        return
+    for start in range(0, len(columns[0]) if columns else 0, BLOCK_ROWS):
+        cells = [_column_text(c[start : start + BLOCK_ROWS]) for c in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _write_table(path: str, head: list[str], columns) -> None:
+    """``head`` lines, then the table's rows, streamed into an atomic write."""
+    columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    atomic_write_text(path, itertools.chain(head, _table_lines(columns)))
 
 
 def write_csv(path: str, header, columns) -> None:
@@ -59,12 +102,12 @@ def write_csv(path: str, header, columns) -> None:
     header, columns = list(header), list(columns)
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
-    atomic_write_text(path, "\n".join([",".join(header), *_table_text(columns)]) + "\n")
+    _write_table(path, [",".join(header) + "\n"], columns)
 
 
 def write_matrix(path: str, A: np.ndarray) -> None:
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    atomic_write_text(path, "\n".join(_table_text(A.T)) + "\n")
+    _write_table(path, [], A.T)
 
 
 def read_table(path: str) -> tuple[list[str] | None, np.ndarray]:

@@ -471,6 +471,25 @@ def fmt_reference(v) -> str:
     return str(v)
 
 
+def _symmetric_with_specials():
+    """A bitwise-symmetric square with NaN, ±inf and -0.0."""
+    A = np.random.default_rng(3).standard_normal((5, 5))
+    A[0, 3] = A[3, 0] = np.nan
+    A[1, 4] = A[4, 1] = np.inf
+    A[2, 4] = A[4, 2] = -np.inf
+    A[2, 2] = -0.0
+    A = A + A.T
+    assert np.array_equal(A.view(np.uint64), A.T.view(np.uint64))
+    return A
+
+
+def _signed_zero_pair():
+    """Symmetric in value, not in bits: 0.0 at (0, 2), -0.0 at (2, 0)."""
+    A = np.ones((3, 3))
+    A[0, 2], A[2, 0] = 0.0, -0.0
+    return A
+
+
 class TestWriteCSV:
     def test_bytes_match_per_value_rule(self, tmp_path):
         floats = np.array([-0.0, 5e-324, 1e22, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, -2.5e-300])
@@ -503,6 +522,55 @@ class TestWriteCSV:
         with pytest.raises(ValueError):
             textio.write_csv(tmp_path / "r.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
         assert not (tmp_path / "r.csv").exists()
+
+    @staticmethod
+    def expected_csv(header, columns) -> bytes:
+        rows = [",".join(fmt_reference(v) for v in row) for row in zip(*columns)]
+        return ("\n".join([",".join(header), *rows]) + "\n").encode()
+
+    def test_blocks_of_mixed_columns(self, tmp_path):
+        n = 2 * textio.BLOCK_ROWS + 1
+        rng = np.random.default_rng(2)
+        columns = [
+            np.arange(n, dtype=np.int64) - 5,
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            rng.random(n) < 0.5,
+            np.array([f"s{i % 7}" for i in range(n)]),
+        ]
+        header = ["i", "f", "b", "s"]
+        path = tmp_path / "r.csv"
+        textio.write_csv(path, header, columns)
+        assert path.read_bytes() == self.expected_csv(header, columns)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            list(_symmetric_with_specials()),
+            list(_signed_zero_pair()),
+            [np.array([0.1])],
+            [np.arange(1, 4), np.array([2.0, 0.5, 0.5]), np.array([3.0, 0.5, 0.5])],
+            list(np.array([[0.1, 0.2, 0.3], [0.2, 0.1, 0.4], [0.3, 0.4, 0.1]], dtype=np.float32)),
+        ],
+        ids=["symmetric-nan-inf", "signed-zero", "1x1", "int-column", "float32"],
+    )
+    def test_square_tables_match_per_value_rule(self, tmp_path, columns):
+        header = [f"k{j}" for j in range(len(columns))]
+        path = tmp_path / "r.csv"
+        textio.write_csv(path, header, columns)
+        assert path.read_bytes() == self.expected_csv(header, columns)
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot format")
+
+        n = 2 * textio.BLOCK_ROWS
+        bad = np.array(["x"] * (textio.BLOCK_ROWS + 1) + [Unprintable()] * (n - textio.BLOCK_ROWS - 1), dtype=object)
+        with pytest.raises(RuntimeError):
+            textio.write_csv(tmp_path / "r.csv", ["a", "b"], [np.zeros(n), bad])
+        with pytest.raises(ValueError):
+            textio.write_csv(tmp_path / "r.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+        assert list(tmp_path.iterdir()) == []
 
     def test_matrix_bytes_match_per_value_rule(self, tmp_path):
         M = np.random.default_rng(1).standard_normal((4, 3))
